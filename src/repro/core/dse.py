@@ -17,7 +17,7 @@ from ..errors import SimulationError
 from ..hardware.config import DEFAULT_CONFIG, HardwareConfig
 from ..hardware.multi import MultiLanePipeline
 from ..matrix import SparseMatrix
-from ..partition import PARTITION_SIZES
+from ..partition import PARTITION_SIZES, ProfileTable
 from .simulator import SpmvSimulator
 
 __all__ = ["DesignPoint", "explore", "pareto_frontier"]
@@ -114,7 +114,7 @@ def explore(
     for p in partition_sizes:
         config = base_config.with_partition_size(p)
         simulator = SpmvSimulator(config)
-        profiles: list | None = None
+        table: ProfileTable | None = None
         for name in formats:
             single = cube[("dse", name, p)]
             for lanes in lane_counts:
@@ -125,9 +125,9 @@ def explore(
                 if lanes == 1:
                     total_cycles = single.total_cycles
                 else:
-                    if profiles is None:
-                        profiles = simulator.profiles(matrix)
-                    total_cycles = pipeline.run(profiles).total_cycles
+                    if table is None:
+                        table = simulator.profile_table(matrix)
+                    total_cycles = pipeline.run(table).total_cycles
                 seconds = config.seconds(total_cycles)
                 power_w = single.dynamic_power_w * lanes
                 metrics = {

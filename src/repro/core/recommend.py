@@ -242,10 +242,10 @@ def recommend(
     results: list[CharacterizationResult] = []
     for p in partition_sizes:
         simulator = SpmvSimulator(base_config.with_partition_size(p))
-        profiles = simulator.profiles(matrix)
+        table = simulator.profile_table(matrix)
         for name in formats:
             results.append(
-                simulator.run_format(name, profiles, workload="")
+                simulator.run_format(name, table, workload="")
             )
     return recommend_from_results(results, objective, constraints)
 

@@ -6,8 +6,8 @@ serve worker.  This module runs the exposed operations (``parse``,
 ``profile``, ``encode``) in a *subprocess* under hard caps:
 
 * **wall clock** — the parent kills the child past
-  :attr:`SandboxLimits.wall_s` (a CPU rlimit backs this up, so a busy
-  loop dies even if the parent stalls);
+  :attr:`SandboxLimits.wall_s` (a per-job CPU rlimit backs this up, so
+  a busy loop dies even if the parent stalls);
 * **memory** — the child caps its own address-space headroom with
   ``resource.setrlimit(RLIMIT_AS)``, so a dense-bomb allocation raises
   ``MemoryError`` inside the child instead of invoking the OOM killer
@@ -44,6 +44,7 @@ be trusted to describe the input.
 from __future__ import annotations
 
 import json
+import math
 import os
 import select
 import signal
@@ -167,7 +168,7 @@ def _address_space_bytes() -> int:
         return 0
 
 
-def _apply_child_limits(rss_mb: float, cpu_s: float) -> None:
+def _apply_child_limits(rss_mb: float) -> None:
     import resource
 
     headroom = int(rss_mb * (1 << 20))
@@ -176,9 +177,27 @@ def _apply_child_limits(rss_mb: float, cpu_s: float) -> None:
         resource.setrlimit(resource.RLIMIT_AS, (ceiling, ceiling))
     except (ValueError, OSError):  # pragma: no cover - exotic platforms
         pass
-    cpu = max(1, int(cpu_s) + 1)
+
+
+def _arm_cpu_budget(cpu_s: float) -> None:
+    """Let the next job spend ``cpu_s`` (+1 s) of CPU from now on.
+
+    ``RLIMIT_CPU`` counts the process's *cumulative* CPU, so a fixed
+    limit would kill a long-lived child once its jobs add up past it.
+    Only the soft limit moves — to the CPU already used plus the
+    budget; the hard limit stays where it is, because an unprivileged
+    process could never raise it again.
+    """
+    import resource
+
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    used = math.ceil(usage.ru_utime + usage.ru_stime)
+    soft = used + max(1, int(cpu_s) + 1)
     try:
-        resource.setrlimit(resource.RLIMIT_CPU, (cpu, cpu + 1))
+        hard = resource.getrlimit(resource.RLIMIT_CPU)[1]
+        if hard != resource.RLIM_INFINITY:
+            soft = min(soft, hard)
+        resource.setrlimit(resource.RLIMIT_CPU, (soft, hard))
     except (ValueError, OSError):  # pragma: no cover - exotic platforms
         pass
 
@@ -286,7 +305,7 @@ def _child_main(argv: "list[str]") -> int:
 
     from .. import formats, io, partition  # noqa: F401
 
-    _apply_child_limits(rss_mb, cpu_s)
+    _apply_child_limits(rss_mb)
     stdin = sys.stdin.buffer
     stdout = sys.stdout.buffer
     while True:
@@ -302,6 +321,7 @@ def _child_main(argv: "list[str]") -> int:
                 "detail": "malformed job line",
             }
         else:
+            _arm_cpu_budget(cpu_s)
             payload = _child_execute(job)
         try:
             blob = json.dumps(payload, sort_keys=True).encode("utf-8")

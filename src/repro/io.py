@@ -16,10 +16,12 @@ Two reading modes share one parser/validator:
 * :class:`MatrixMarketStream` + :func:`streaming_profile_table` read
   the same files **out of core**: entries are parsed in bounded
   batches and folded straight into a
-  :class:`~repro.partition.ProfileAccumulator`, so a matrix far larger
-  than memory still produces the exact per-tile
-  :class:`~repro.partition.ProfileTable` the hardware model needs —
-  without ever holding the triplets (let alone anything dense).
+  :class:`~repro.partition.ProfileAccumulator` — the same algorithm
+  :func:`~repro.partition.profile_table` runs on an in-memory matrix
+  as one batch — so a matrix far larger than memory still produces
+  the exact per-tile :class:`~repro.partition.ProfileTable` the
+  hardware model needs, without ever holding the triplets (let alone
+  anything dense).
 """
 
 from __future__ import annotations
@@ -257,10 +259,12 @@ def streaming_profile_table(
     """Profile a ``.mtx`` file tile-by-tile without materializing it.
 
     Returns a :class:`~repro.partition.ProfileTable` identical to
-    ``profile_table(read_matrix_market(path), p)`` — the hypothesis
-    round-trip suite pins the equivalence — while holding only one
-    entry batch (sized from ``memory_budget_mb``) plus the
-    accumulator's columnar per-tile state.  Entries with explicit zero
+    ``profile_table(read_matrix_market(path), p)`` — both fold into a
+    :class:`~repro.partition.ProfileAccumulator`, this one batch by
+    batch, and the hypothesis round-trip suite pins that batching is
+    invisible — while holding only one entry batch (sized from
+    ``memory_budget_mb``) plus the accumulator's columnar per-tile
+    state.  Entries with explicit zero
     values are dropped exactly like :class:`SparseMatrix` drops them;
     files with *duplicate coordinates* are outside the streaming
     contract (see :class:`~repro.partition.ProfileAccumulator`).

@@ -10,13 +10,18 @@ Two views of the same tiling are provided:
 
 * :func:`partition_matrix` materializes each non-zero tile as a
   :class:`~repro.matrix.SparseMatrix` — exact, used by functional SpMV,
-  examples, and round-trip tests.
-* :func:`profile_table` computes, fully vectorized, the per-tile
-  statistics the hardware model needs (non-zeros, non-zero rows, block
-  and diagonal counts, ...) without building the tiles, and keeps them
-  columnar in a :class:`ProfileTable` — this is what makes 8000 x 8000
-  workloads tractable and lets the hardware model evaluate its
-  closed-form cycle/size formulas over whole matrices in one shot.
+  examples, and round-trip tests.  :meth:`PartitionProfile.of_block`
+  profiles one such tile and is the independent reference oracle.
+* :class:`ProfileAccumulator` is the one algorithm that computes the
+  per-tile statistics the hardware model needs (non-zeros, non-zero
+  rows, block and diagonal counts, ...) without building the tiles,
+  fully vectorized, into a columnar :class:`ProfileTable` — this is
+  what makes 8000 x 8000 workloads tractable and lets the hardware
+  model evaluate its closed-form cycle/size formulas over whole
+  matrices in one shot.  It folds coordinate batches, so the
+  out-of-core ``.mtx`` reader (:func:`repro.io.streaming_profile_table`)
+  and the in-memory :func:`profile_table` — its one-batch case — share
+  every line of it.
 * :func:`profile_partitions` is the per-object view of the same data:
   a list of :class:`PartitionProfile` records materialized from the
   table.
@@ -279,32 +284,6 @@ def reassemble(
     return SparseMatrix(shape, all_rows[keep], all_cols[keep], all_vals[keep])
 
 
-def _group_max_counts(
-    group_ids: np.ndarray, inner_keys: np.ndarray, n_groups: int
-) -> np.ndarray:
-    """Per group: the largest multiplicity of any inner key.
-
-    ``group_ids`` are dense ints in ``[0, n_groups)``; ``inner_keys``
-    distinguish members within a group (e.g. local row index).
-    """
-    combined = group_ids * np.int64(2**32) + inner_keys
-    unique_combined, counts = np.unique(combined, return_counts=True)
-    owner = (unique_combined // np.int64(2**32)).astype(np.int64)
-    result = np.zeros(n_groups, dtype=np.int64)
-    np.maximum.at(result, owner, counts)
-    return result
-
-
-def _group_unique_counts(
-    group_ids: np.ndarray, inner_keys: np.ndarray, n_groups: int
-) -> np.ndarray:
-    """Per group: the number of distinct inner keys."""
-    combined = group_ids * np.int64(2**32) + inner_keys
-    unique_combined = np.unique(combined)
-    owner = (unique_combined // np.int64(2**32)).astype(np.int64)
-    return np.bincount(owner, minlength=n_groups)
-
-
 #: 1-D integer columns of a :class:`ProfileTable`, in field order.
 PROFILE_COLUMNS: tuple[str, ...] = (
     "nnz",
@@ -511,79 +490,6 @@ class ProfileTable:
         )
 
 
-def profile_table(
-    matrix: SparseMatrix, p: int, block_size: int = 4
-) -> ProfileTable:
-    """Vectorized per-tile statistics, columnar, in grid order."""
-    _check_partition_size(p)
-    if block_size < 1:
-        raise PartitionError(f"block_size must be >= 1, got {block_size}")
-    if not matrix.nnz:
-        empty = np.zeros(0, dtype=np.int64)
-        return ProfileTable(
-            p=p,
-            block_size=block_size,
-            row_nnz_hist=np.zeros((0, p), dtype=np.int64),
-            **{name: empty for name in PROFILE_COLUMNS},
-        )
-    grid_cols = grid_shape(matrix.shape, p)[1]
-    pid = (matrix.rows // p) * grid_cols + (matrix.cols // p)
-    tile_ids, dense_pid = np.unique(pid, return_inverse=True)
-    n_tiles = tile_ids.size
-
-    local_rows = matrix.rows % p
-    local_cols = matrix.cols % p
-    nnz = np.bincount(dense_pid, minlength=n_tiles)
-    nnz_rows = _group_unique_counts(dense_pid, local_rows, n_tiles)
-    nnz_cols = _group_unique_counts(dense_pid, local_cols, n_tiles)
-    max_row = _group_max_counts(dense_pid, local_rows, n_tiles)
-    max_col = _group_max_counts(dense_pid, local_cols, n_tiles)
-
-    block_cols_per_tile = -(-p // block_size)
-    block_key = (
-        (local_rows // block_size) * block_cols_per_tile
-        + (local_cols // block_size)
-    )
-    n_blocks = _group_unique_counts(dense_pid, block_key, n_tiles)
-    nnz_block_rows = _group_unique_counts(
-        dense_pid, local_rows // block_size, n_tiles
-    )
-
-    diag = local_cols - local_rows + p  # shift into [1, 2p-1] (>= 0)
-    diag_pairs = np.unique(dense_pid * np.int64(2**32) + diag)
-    diag_owner = (diag_pairs // np.int64(2**32)).astype(np.int64)
-    diag_offset = (diag_pairs % np.int64(2**32)).astype(np.int64) - p
-    # per-(tile, row) entry counts -> per-tile row-length histogram.
-    combined_rows = dense_pid * np.int64(2**32) + local_rows
-    unique_pairs, pair_counts = np.unique(combined_rows, return_counts=True)
-    pair_owner = (unique_pairs // np.int64(2**32)).astype(np.int64)
-    hist_matrix = np.zeros((n_tiles, p), dtype=np.int64)
-    np.add.at(hist_matrix, (pair_owner, pair_counts - 1), 1)
-
-    n_diagonals = np.bincount(diag_owner, minlength=n_tiles)
-    diag_lengths = p - np.abs(diag_offset)
-    stored = np.zeros(n_tiles, dtype=np.int64)
-    np.add.at(stored, diag_owner, diag_lengths)
-    longest = np.zeros(n_tiles, dtype=np.int64)
-    np.maximum.at(longest, diag_owner, diag_lengths)
-
-    return ProfileTable(
-        p=p,
-        block_size=block_size,
-        nnz=nnz,
-        nnz_rows=nnz_rows,
-        nnz_cols=nnz_cols,
-        max_row_nnz=max_row,
-        max_col_nnz=max_col,
-        n_blocks=n_blocks,
-        nnz_block_rows=nnz_block_rows,
-        n_diagonals=n_diagonals,
-        dia_stored_len=stored,
-        dia_max_len=longest,
-        row_nnz_hist=hist_matrix,
-    )
-
-
 def _merge_key_counts(
     keys_a: np.ndarray,
     counts_a: np.ndarray,
@@ -605,20 +511,29 @@ def _merge_key_counts(
 
 
 class ProfileAccumulator:
-    """Streaming construction of a :class:`ProfileTable`.
+    """Construction of a :class:`ProfileTable` from coordinate batches.
 
-    Consumes ``(rows, cols)`` coordinate batches in any order and any
-    grouping — an out-of-core reader feeds it one bounded batch at a
-    time — and finalizes into a table **identical** to
-    ``profile_table(matrix, p)`` on the materialized matrix.
+    The one tile-profile algorithm of the package.  It consumes
+    ``(rows, cols)`` coordinate batches in any order and any grouping —
+    the out-of-core reader feeds it one bounded batch at a time,
+    :func:`profile_table` feeds it a whole in-memory matrix as a single
+    batch — and finalizes into the same table either way.
 
     Every tile statistic is a function of per-(tile, key) entry counts
-    for key in {local row, local column, ``b x b`` block, diagonal},
-    and those counts merge associatively across batches.  The running
-    state is therefore columnar: sorted ``pid * 2**32 + key`` arrays
-    with counts, merged per batch — memory proportional to the number
-    of *distinct* (tile, key) pairs seen so far, never to the raw
-    entry count and never to Python-object parse overhead.
+    for key in {local row, local column, ``b x b`` block, block row,
+    diagonal}, and those counts merge associatively across batches.
+    The running state is therefore columnar: sorted ``pid * stride +
+    key`` arrays (``pid`` the raw row-major grid tile id) with counts,
+    merged per batch — memory proportional to the number of *distinct*
+    (tile, key) pairs seen so far, never to the raw entry count and
+    never to Python-object parse overhead.
+
+    Stride invariant: ``stride`` exceeds every local key — row and
+    column keys are below ``p``, shifted diagonal keys below ``2p``,
+    block keys below ``ceil(p / b) ** 2`` — so ``key // stride``
+    recovers the tile, ``key % stride`` the local key, and sorting by
+    key sorts tiles into grid order.  Shapes whose largest key would
+    not fit ``int64`` are refused at construction.
 
     Precondition: batches must not repeat a coordinate (canonical
     Matrix Market input — what :func:`repro.io.write_matrix_market`
@@ -642,19 +557,23 @@ class ProfileAccumulator:
         self.shape = (int(shape[0]), int(shape[1]))
         self.p = p
         self.block_size = block_size
+        self._block_cols = -(-p // block_size)
+        self._stride = max(2 * p, self._block_cols**2)
+        if count_partitions(self.shape, p) * self._stride > 2**63:
+            raise PartitionError(
+                f"shape {self.shape} at p={p} has too many tiles to "
+                f"key in int64"
+            )
         self.n_entries = 0
         empty_keys = np.zeros(0, dtype=np.int64)
         empty_counts = np.zeros(0, dtype=np.int64)
         # per-(tile, local row) and per-(tile, local col) entry counts
         self._row_keys, self._row_counts = empty_keys, empty_counts
-        self._col_keys, self._col_counts = (
-            empty_keys.copy(),
-            empty_counts.copy(),
-        )
+        self._col_keys, self._col_counts = empty_keys, empty_counts
         # distinct (tile, block) / (tile, block-row) / (tile, diagonal)
-        self._block_keys = empty_keys.copy()
-        self._brow_keys = empty_keys.copy()
-        self._diag_keys = empty_keys.copy()
+        self._block_keys = empty_keys
+        self._brow_keys = empty_keys
+        self._diag_keys = empty_keys
 
     # ------------------------------------------------------------------
     def add(
@@ -691,7 +610,7 @@ class ProfileAccumulator:
         pid = (rows // p) * grid_cols + (cols // p)
         local_rows = rows % p
         local_cols = cols % p
-        base = pid * np.int64(2**32)
+        base = pid * np.int64(self._stride)
 
         batch_keys, batch_counts = np.unique(
             base + local_rows, return_counts=True
@@ -707,17 +626,10 @@ class ProfileAccumulator:
         )
 
         block_size = self.block_size
-        block_cols_per_tile = -(-p // block_size)
-        block_key = (
-            (local_rows // block_size) * block_cols_per_tile
-            + (local_cols // block_size)
-        )
-        self._block_keys = np.union1d(
-            self._block_keys, base + block_key
-        )
-        self._brow_keys = np.union1d(
-            self._brow_keys, base + local_rows // block_size
-        )
+        block_rows = local_rows // block_size
+        block_key = block_rows * self._block_cols + local_cols // block_size
+        self._block_keys = np.union1d(self._block_keys, base + block_key)
+        self._brow_keys = np.union1d(self._brow_keys, base + block_rows)
         diag = local_cols - local_rows + p  # shift into [1, 2p-1]
         self._diag_keys = np.union1d(self._diag_keys, base + diag)
 
@@ -737,25 +649,16 @@ class ProfileAccumulator:
         return sum(a.nbytes for a in arrays)
 
     def finalize(self) -> ProfileTable:
-        """Materialize the table; identical to :func:`profile_table`."""
+        """Materialize the table, one row per non-zero tile in grid order."""
         p = self.p
-        if not self._row_keys.size:
-            empty = np.zeros(0, dtype=np.int64)
-            return ProfileTable(
-                p=p,
-                block_size=self.block_size,
-                row_nnz_hist=np.zeros((0, p), dtype=np.int64),
-                **{name: empty for name in PROFILE_COLUMNS},
-            )
+        stride = np.int64(self._stride)
         # every non-empty tile has at least one (tile, row) pair, so
-        # the row keys enumerate the tile ids — ascending, exactly the
-        # np.unique(pid) grid order profile_table uses
-        row_owner_ids = self._row_keys // np.int64(2**32)
-        tile_ids = np.unique(row_owner_ids)
+        # the row keys enumerate the tile ids, ascending
+        tile_ids = np.unique(self._row_keys // stride)
         n_tiles = tile_ids.size
 
         def dense(keys: np.ndarray) -> np.ndarray:
-            return np.searchsorted(tile_ids, keys // np.int64(2**32))
+            return np.searchsorted(tile_ids, keys // stride)
 
         row_owner = dense(self._row_keys)
         nnz = np.zeros(n_tiles, dtype=np.int64)
@@ -779,11 +682,8 @@ class ProfileAccumulator:
         )
 
         diag_owner = dense(self._diag_keys)
-        diag_offset = (
-            self._diag_keys % np.int64(2**32)
-        ).astype(np.int64) - p
+        diag_lengths = p - np.abs(self._diag_keys % stride - p)
         n_diagonals = np.bincount(diag_owner, minlength=n_tiles)
-        diag_lengths = p - np.abs(diag_offset)
         stored = np.zeros(n_tiles, dtype=np.int64)
         np.add.at(stored, diag_owner, diag_lengths)
         longest = np.zeros(n_tiles, dtype=np.int64)
@@ -804,6 +704,20 @@ class ProfileAccumulator:
             dia_max_len=longest,
             row_nnz_hist=hist_matrix,
         )
+
+
+def profile_table(
+    matrix: SparseMatrix, p: int, block_size: int = 4
+) -> ProfileTable:
+    """Per-tile statistics, columnar, in grid order.
+
+    The one-batch case of :class:`ProfileAccumulator`: a
+    :class:`SparseMatrix` is already canonical (unique coordinates,
+    no explicit zeros), which is exactly the accumulator's contract.
+    """
+    accumulator = ProfileAccumulator(matrix.shape, p, block_size=block_size)
+    accumulator.add(matrix.rows, matrix.cols)
+    return accumulator.finalize()
 
 
 def profile_partitions(

@@ -9,6 +9,8 @@ depending on how fast the machine can blow up a matrix.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.errors import SandboxError
@@ -103,6 +105,37 @@ class TestLifecycle:
             sb.run("parse", mtx=VALID_MTX)
             assert sb.spawns == 2
             assert sb.jobs == 3
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/stat"), reason="needs procfs"
+    )
+    def test_cpu_budget_is_per_job_not_cumulative(self) -> None:
+        # RLIMIT_CPU counts the child's lifetime CPU; a long-lived
+        # worker must still give every job the full budget, so many
+        # innocent jobs adding up past it never earn a timeout
+        from repro.io import dumps
+        from repro.workloads import random_matrix
+
+        mtx = dumps(random_matrix(1000, 0.01, seed=3))
+        budget = 1.0
+
+        def child_cpu_s(pid: int) -> float:
+            with open(f"/proc/{pid}/stat", encoding="ascii") as stat:
+                fields = stat.read().rsplit(")", 1)[1].split()
+            ticks = int(fields[11]) + int(fields[12])  # utime + stime
+            return ticks / os.sysconf("SC_CLK_TCK")
+
+        with Sandbox(SandboxLimits(wall_s=budget)) as sb:
+            verdicts = []
+            while True:
+                verdicts.append(sb.run("profile", mtx=mtx, p=8).kind)
+                if verdicts[-1] != "ok" or sb._child is None:
+                    break
+                if child_cpu_s(sb._child.pid) > 3 * budget:
+                    break
+                assert len(verdicts) < 5000, "jobs too cheap to add up"
+            assert set(verdicts) == {"ok"}, verdicts[-3:]
+            assert sb.spawns == 1
 
     def test_one_shot_convenience(self) -> None:
         verdict = run_sandboxed(

@@ -221,7 +221,9 @@ from hypothesis import strategies as st
 from repro.io import MatrixMarketStream, streaming_profile_table
 from repro.partition import (
     PROFILE_COLUMNS,
+    PartitionProfile,
     ProfileAccumulator,
+    partition_matrix,
     profile_table,
 )
 
@@ -343,6 +345,26 @@ class TestStreamingEquivalence:
         write_matrix_market(SparseMatrix.identity(4), path)
         with pytest.raises(FormatError, match="memory_budget_mb"):
             streaming_profile_table(path, 4, memory_budget_mb=0)
+
+    @pytest.mark.parametrize("p", [4, 8])
+    def test_huge_shape_keeps_tiles_apart(self, tmp_path, p):
+        # at n = 10**6 the raw grid tile ids pass 2**31, so the tile
+        # keys must not wrap int64 or tiles swap their statistics
+        n = 10**6
+        matrix = SparseMatrix(
+            (n, n),
+            [0, 5, 500_000, n - 1],
+            [0, n - 2, 500_001, 7],
+            [1.0, 2.0, 3.0, 4.0],
+        )
+        path = tmp_path / "huge.mtx"
+        write_matrix_market(matrix, path)
+        reference = [
+            PartitionProfile.of_block(tile.block, p)
+            for tile in partition_matrix(matrix, p)
+        ]
+        assert profile_table(matrix, p).profiles() == reference
+        assert streaming_profile_table(path, p).profiles() == reference
 
     def test_shape_known_before_entries(self):
         stream = _io.StringIO(dumps(SparseMatrix.identity(3)))

@@ -11,6 +11,7 @@ from repro.partition import (
     PARTITION_SIZES,
     PROFILE_COLUMNS,
     PartitionProfile,
+    ProfileAccumulator,
     ProfileTable,
     count_partitions,
     grid_shape,
@@ -126,6 +127,11 @@ class TestProfiles:
     def test_invalid_block_size(self):
         with pytest.raises(PartitionError):
             profile_partitions(SparseMatrix.identity(8), 8, block_size=0)
+
+    def test_tile_key_overflow_refused(self):
+        # tile keys pid * stride + key must fit int64: refuse, never wrap
+        with pytest.raises(PartitionError, match="int64"):
+            ProfileAccumulator((2**40, 2**40), 1)
 
     def test_band_matrix_diag_counts(self):
         matrix = band_matrix(64, width=4, seed=0)

@@ -263,14 +263,17 @@ class TestPartitionProperties:
         assert reassemble(matrix.shape, parts, p) == matrix
 
     @given(sparse_matrices(max_rows=30, max_cols=30, max_entries=60),
-           st.sampled_from([4, 8]))
+           st.sampled_from([4, 8, 16]),
+           st.sampled_from([1, 2, 3, 4]))
     @settings(max_examples=60)
-    def test_profiles_match_reference(self, matrix, p):
-        profiles = profile_partitions(matrix, p)
+    def test_profiles_match_reference(self, matrix, p, block_size):
+        profiles = profile_partitions(matrix, p, block_size=block_size)
         tiles = partition_matrix(matrix, p)
         assert len(profiles) == len(tiles)
         for profile, tile in zip(profiles, tiles):
-            assert profile == PartitionProfile.of_block(tile.block, p)
+            assert profile == PartitionProfile.of_block(
+                tile.block, p, block_size=block_size
+            )
 
     @given(sparse_matrices(max_rows=30, max_cols=30, max_entries=60),
            st.sampled_from([4, 8, 16]))
