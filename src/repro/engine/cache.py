@@ -113,6 +113,10 @@ class ContentKeyedCache:
         self._matrix_keys[id(matrix)] = (matrix, key)
         return key
 
+    def put(self, key: tuple[Hashable, ...], value: object) -> None:
+        """Store a value computed alongside another (no stats change)."""
+        self._store[key] = value
+
     def get_or_create(
         self, key: tuple[Hashable, ...], factory: Callable[[], T]
     ) -> T:

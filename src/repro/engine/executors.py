@@ -41,13 +41,19 @@ from typing import TYPE_CHECKING, Callable
 
 from ..core.results import CharacterizationResult
 from ..core.simulator import SpmvSimulator
-from ..errors import SweepCellError, SweepConfigError
+from ..errors import (
+    HardwareConfigError,
+    PartitionError,
+    SweepCellError,
+    SweepConfigError,
+)
 from ..formats.base import VALUE_BYTES
 from ..formats.corrupt import CorruptionSpec, StreamCorruptor
 from ..formats.integrity import safe_decode
 from ..formats.registry import get_format
+from ..hardware.config import HardwareConfig
 from ..observability import MetricsRegistry
-from ..partition import profile_table
+from ..partition import ProfileTable, profile_table
 from ..workloads.registry import Workload
 from .cache import CacheStats, ContentKeyedCache
 from .faults import FaultPlan
@@ -141,17 +147,75 @@ def _corrupt_workload(
     )
 
 
+def _streamed_sizes(chunk: _Chunk) -> dict:
+    """The partition sizes each streamed file has in ``chunk``.
+
+    Keyed by ``(spec, block size)``.  Cells whose config is invalid
+    are left out: they fail on their own, not the shared pass.
+    """
+    sizes: dict = {}
+    for _, cell in chunk:
+        if isinstance(cell.workload, StreamedMatrixSpec):
+            try:
+                config = cell.resolved_config
+            except HardwareConfigError:
+                continue
+            sizes.setdefault(
+                (cell.workload, config.block_size), set()
+            ).add(config.partition_size)
+    return sizes
+
+
+def _streamed_table(
+    spec: StreamedMatrixSpec,
+    config: HardwareConfig,
+    cache: ContentKeyedCache,
+    sizes: "set[int]",
+) -> ProfileTable:
+    """The cell's table from one streamed pass over the file.
+
+    The pass also profiles every other size in ``sizes``, so a chunk
+    parses each streamed file once; those tables are cached under
+    their own ``("profiles", key, p, b)`` keys.
+    """
+    p, block_size = config.partition_size, config.block_size
+
+    def key(q: int) -> tuple:
+        return ("profiles", spec.content_key, q, block_size)
+
+    def profile() -> ProfileTable:
+        wanted = {p} | sizes
+        try:
+            tables = spec.profiles(sorted(wanted), block_size)
+        except PartitionError:
+            if wanted == {p}:
+                raise
+            # a refusal is per size (a duplicated coordinate shows
+            # only at sizes it overfills), so a size that refuses the
+            # file must not fail the others sharing the pass
+            tables = spec.profiles((p,), block_size)
+        for q, table in tables.items():
+            if q != p:
+                cache.put(key(q), table)
+        return tables[p]
+
+    return cache.get_or_create(key(p), profile)
+
+
 def _run_cell(
     cell: SweepCell,
     cache: ContentKeyedCache,
+    streamed_sizes: dict,
     corruption: CorruptionSpec | None = None,
 ) -> tuple[CharacterizationResult, str]:
     """Characterize one cell; returns the result and its matrix key.
 
     Streamed cells profile their matrix tile-by-tile through
-    :func:`~repro.io.streaming_profile_table` (keyed by the file's
-    content digest) instead of materializing it; everything downstream
-    of the :class:`~repro.partition.ProfileTable` is identical.
+    :func:`~repro.io.streaming_profile_tables` (keyed by the file's
+    content digest) instead of materializing it, in one pass for every
+    partition size ``streamed_sizes`` (see :func:`_streamed_sizes`)
+    lists for the file; everything downstream of the
+    :class:`~repro.partition.ProfileTable` is identical.
     """
     config = cell.resolved_config
     workload = cell.workload
@@ -163,17 +227,11 @@ def _run_cell(
                 f"materialized encode/decode loop"
             )
         matrix_key = workload.content_key
-        spec = workload
-        table = cache.get_or_create(
-            (
-                "profiles",
-                matrix_key,
-                config.partition_size,
-                config.block_size,
-            ),
-            lambda: spec.profile(
-                config.partition_size, config.block_size
-            ),
+        table = _streamed_table(
+            workload,
+            config,
+            cache,
+            streamed_sizes.get((workload, config.block_size), set()),
         )
         simulator = SpmvSimulator(config)
         result = simulator.run_format(
@@ -284,6 +342,7 @@ def _run_chunk(
     )
     timed = telemetry or on_cell is not None
     chunk_start = time.perf_counter() if telemetry else 0.0
+    streamed_sizes = _streamed_sizes(chunk)
     for index, cell in chunk:
         cell_start = time.perf_counter() if timed else 0.0
         try:
@@ -295,7 +354,9 @@ def _run_chunk(
                 corruption = faults.corruption_for(
                     cell.coords, index, attempt
                 )
-            result, matrix_key = _run_cell(cell, cache, corruption)
+            result, matrix_key = _run_cell(
+                cell, cache, streamed_sizes, corruption
+            )
             if encode:
                 summary = _encode_cell(cell, cache)
                 encodings[(summary.workload, summary.format_name)] = summary

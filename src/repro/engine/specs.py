@@ -14,7 +14,7 @@ import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Hashable
+from typing import TYPE_CHECKING, Hashable, Iterable
 
 from ..errors import WorkloadError
 from ..workloads.band import band_matrix
@@ -169,14 +169,16 @@ class StreamedMatrixSpec:
 
     Unlike :class:`WorkloadSpec`, this spec never materializes a
     :class:`~repro.matrix.SparseMatrix`: the sweep profiles the file
-    through :func:`repro.io.streaming_profile_table`, which reads
-    bounded batches of entries and folds them into the per-tile
+    through :func:`repro.io.streaming_profile_tables`, which reads
+    bounded batches of entries once and folds them into the per-tile
     statistics the hardware model needs
-    (:class:`~repro.partition.ProfileAccumulator`).  Peak memory is the
-    batch buffer (bounded by ``memory_budget_mb``) plus the columnar
-    accumulator state — proportional to distinct (tile, row/col/diag)
-    keys, not to ``nnz`` and not to the Python-object overhead of a
-    full triplet parse.
+    (:class:`~repro.partition.ProfileAccumulator`) at every partition
+    size a sweep chunk asks for.  Peak memory is the batch buffer
+    (bounded by ``memory_budget_mb``) plus each accumulator's per-tile
+    state — non-zero tiles × O(p) slots, the same order as the
+    resulting table's own ``(n_tiles, p)`` row histogram, and one key
+    per non-zero ``b x b`` block — not ``nnz`` and not the
+    Python-object overhead of a full triplet parse.
 
     The recipe digest is a content digest of the *file bytes*, so two
     machines pointing at identical files claim, checkpoint and dedupe
@@ -231,15 +233,15 @@ class StreamedMatrixSpec:
             payload.encode("utf-8"), digest_size=16
         ).hexdigest()
 
-    def profile(
-        self, partition_size: int, block_size: int = 4
-    ) -> "ProfileTable":
-        """Stream the file into a :class:`ProfileTable` at one tiling."""
-        from ..io import streaming_profile_table
+    def profiles(
+        self, partition_sizes: "Iterable[int]", block_size: int = 4
+    ) -> "dict[int, ProfileTable]":
+        """Stream the file once into one :class:`ProfileTable` per size."""
+        from ..io import streaming_profile_tables
 
-        return streaming_profile_table(
+        return streaming_profile_tables(
             self.path,
-            partition_size,
+            partition_sizes,
             block_size=block_size,
             memory_budget_mb=self.memory_budget_mb,
         )

@@ -13,10 +13,11 @@ Two reading modes share one parser/validator:
 
 * :func:`read_matrix_market` materializes the whole file into a
   :class:`SparseMatrix` (exact, the historical path).
-* :class:`MatrixMarketStream` + :func:`streaming_profile_table` read
+* :class:`MatrixMarketStream` + :func:`streaming_profile_tables` read
   the same files **out of core**: entries are parsed in bounded
-  batches and folded straight into a
-  :class:`~repro.partition.ProfileAccumulator` — the same algorithm
+  batches, once, and folded straight into one
+  :class:`~repro.partition.ProfileAccumulator` per partition size —
+  the same algorithm
   :func:`~repro.partition.profile_table` runs on an in-memory matrix
   as one batch — so a matrix far larger than memory still produces
   the exact per-tile :class:`~repro.partition.ProfileTable` the
@@ -28,12 +29,15 @@ from __future__ import annotations
 
 import io
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
 
 import numpy as np
 
 from .errors import FormatError, ValidationError
 from .matrix import SparseMatrix
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .partition import ProfileTable
 
 __all__ = [
     "MAX_DIM",
@@ -43,6 +47,7 @@ __all__ = [
     "dumps",
     "MatrixMarketStream",
     "streaming_profile_table",
+    "streaming_profile_tables",
 ]
 
 _HEADER_PREFIX = "%%MatrixMarket"
@@ -250,24 +255,30 @@ def loads(text: str) -> SparseMatrix:
 _BATCH_ENTRY_BYTES = 132
 
 
-def streaming_profile_table(
+def streaming_profile_tables(
     path: str | Path,
-    p: int,
+    partition_sizes: "Iterable[int]",
     block_size: int = 4,
     memory_budget_mb: float = 64.0,
-):
-    """Profile a ``.mtx`` file tile-by-tile without materializing it.
+) -> "dict[int, ProfileTable]":
+    """Profile a ``.mtx`` file at several tilings in one streamed pass.
 
-    Returns a :class:`~repro.partition.ProfileTable` identical to
-    ``profile_table(read_matrix_market(path), p)`` — both fold into a
-    :class:`~repro.partition.ProfileAccumulator`, this one batch by
-    batch, and the hypothesis round-trip suite pins that batching is
-    invisible — while holding only one entry batch (sized from
-    ``memory_budget_mb``) plus the accumulator's columnar per-tile
-    state.  Entries with explicit zero
-    values are dropped exactly like :class:`SparseMatrix` drops them;
-    files with *duplicate coordinates* are outside the streaming
-    contract (see :class:`~repro.partition.ProfileAccumulator`).
+    Returns ``{p: table}`` with each table identical to
+    ``profile_table(read_matrix_market(path), p)``.  The file is parsed
+    once: every entry batch folds into one
+    :class:`~repro.partition.ProfileAccumulator` per partition size,
+    and the hypothesis round-trip suite pins that batching is
+    invisible.  Memory is one entry batch (sized from
+    ``memory_budget_mb``) plus each accumulator's per-tile state —
+    non-zero tiles × O(p) slots, the same order as the resulting
+    table's own ``(n_tiles, p)`` row histogram, and one key per
+    non-zero ``b x b`` block — never the triplets.
+    Entries with explicit zero values are dropped exactly like
+    :class:`SparseMatrix` drops them; files with *duplicate
+    coordinates* are outside the streaming contract (see
+    :class:`~repro.partition.ProfileAccumulator`), and one that repeats
+    a coordinate more than ``p`` times is refused with
+    :class:`~repro.errors.PartitionError`.
     """
     from .partition import ProfileAccumulator
 
@@ -277,21 +288,41 @@ def streaming_profile_table(
         )
     budget_bytes = int(memory_budget_mb * (1 << 20))
     # spend at most a quarter of the budget on the in-flight batch;
-    # the rest is headroom for the accumulator's columnar state
+    # the rest is headroom for the accumulators' per-tile slot state,
+    # which grows with the non-zero tiles, not with the batch
     batch_size = max(1024, budget_bytes // (4 * _BATCH_ENTRY_BYTES))
     try:
         with open(path, "r", encoding="ascii") as stream:
             mm = MatrixMarketStream(stream, batch_size=batch_size)
-            accumulator = ProfileAccumulator(
-                mm.shape, p, block_size=block_size
-            )
+            accumulators = {
+                p: ProfileAccumulator(mm.shape, p, block_size=block_size)
+                for p in partition_sizes
+            }
             for rows, cols, vals in mm.batches():
-                accumulator.add(rows, cols, vals)
+                for accumulator in accumulators.values():
+                    accumulator.add(rows, cols, vals)
     except UnicodeDecodeError as error:
         raise FormatError(
             f"{path}: not ASCII MatrixMarket text ({error})"
         ) from None
-    return accumulator.finalize()
+    return {
+        p: accumulator.finalize() for p, accumulator in accumulators.items()
+    }
+
+
+def streaming_profile_table(
+    path: str | Path,
+    p: int,
+    block_size: int = 4,
+    memory_budget_mb: float = 64.0,
+) -> "ProfileTable":
+    """Profile a ``.mtx`` file tile-by-tile without materializing it.
+
+    The one-size case of :func:`streaming_profile_tables`.
+    """
+    return streaming_profile_tables(
+        path, (p,), block_size=block_size, memory_budget_mb=memory_budget_mb
+    )[p]
 
 
 def _entry_lines(matrix: SparseMatrix) -> Iterator[str]:

@@ -14,12 +14,13 @@ Two views of the same tiling are provided:
   profiles one such tile and is the independent reference oracle.
 * :class:`ProfileAccumulator` is the one algorithm that computes the
   per-tile statistics the hardware model needs (non-zeros, non-zero
-  rows, block and diagonal counts, ...) without building the tiles,
-  fully vectorized, into a columnar :class:`ProfileTable` — this is
+  rows, block and diagonal counts, ...) without building the tiles —
+  one sort and a few ``bincount``/scatter passes per batch — into a
+  columnar :class:`ProfileTable`.  This is
   what makes 8000 x 8000 workloads tractable and lets the hardware
   model evaluate its closed-form cycle/size formulas over whole
   matrices in one shot.  It folds coordinate batches, so the
-  out-of-core ``.mtx`` reader (:func:`repro.io.streaming_profile_table`)
+  out-of-core ``.mtx`` reader (:func:`repro.io.streaming_profile_tables`)
   and the in-memory :func:`profile_table` — its one-batch case — share
   every line of it.
 * :func:`profile_partitions` is the per-object view of the same data:
@@ -490,24 +491,11 @@ class ProfileTable:
         )
 
 
-def _merge_key_counts(
-    keys_a: np.ndarray,
-    counts_a: np.ndarray,
-    keys_b: np.ndarray,
-    counts_b: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge two (sorted unique keys, counts) multisets by summation."""
-    if not keys_a.size:
-        return keys_b, counts_b
-    if not keys_b.size:
-        return keys_a, counts_a
-    keys = np.concatenate([keys_a, keys_b])
-    counts = np.concatenate([counts_a, counts_b])
-    unique, inverse = np.unique(keys, return_inverse=True)
-    summed = np.bincount(
-        inverse, weights=counts, minlength=unique.size
-    ).astype(np.int64)
-    return unique, summed
+def _sorted_union(keys: np.ndarray, more: np.ndarray) -> np.ndarray:
+    """Union of two sorted unique key arrays, linear in ``keys``."""
+    at = np.searchsorted(keys, more)
+    fresh = (at == keys.size) | (keys[np.minimum(at, keys.size - 1)] != more)
+    return np.insert(keys, at[fresh], more[fresh])
 
 
 class ProfileAccumulator:
@@ -519,29 +507,33 @@ class ProfileAccumulator:
     :func:`profile_table` feeds it a whole in-memory matrix as a single
     batch — and finalizes into the same table either way.
 
-    Every tile statistic is a function of per-(tile, key) entry counts
-    for key in {local row, local column, ``b x b`` block, block row,
-    diagonal}, and those counts merge associatively across batches.
-    The running state is therefore columnar: sorted ``pid * stride +
-    key`` arrays (``pid`` the raw row-major grid tile id) with counts,
-    merged per batch — memory proportional to the number of *distinct*
-    (tile, key) pairs seen so far, never to the raw entry count and
-    never to Python-object parse overhead.
-
-    Stride invariant: ``stride`` exceeds every local key — row and
-    column keys are below ``p``, shifted diagonal keys below ``2p``,
-    block keys below ``ceil(p / b) ** 2`` — so ``key // stride``
-    recovers the tile, ``key % stride`` the local key, and sorting by
-    key sorts tiles into grid order.  Shapes whose largest key would
-    not fit ``int64`` are refused at construction.
+    Each batch is sorted once, by ``(tile, b x b block)`` key
+    (``np.unique(..., return_inverse=True)``): the distinct keys are
+    the batch's non-zero blocks, and they number its tiles with dense
+    ids ``t``.  Every other statistic is a reduction over per-tile
+    *slots* — entry counts per local row (``p`` slots) and column
+    (``p``), occupancy flags per diagonal (``2p - 1``) — filled with
+    one ``bincount`` or scatter over slot-major keys ``slot * n + t``.
+    The running state is the sorted tile ids and block keys plus one
+    ``(slots, n_tiles)`` array per slot kind (int32 counts, bool
+    occupancy), merged across batches by uniting keys, adding counts
+    and or-ing flags; :meth:`finalize` reduces along the slot axis.
+    Memory is non-zero tiles × O(p) slots — the same order as the
+    table's own ``(n_tiles, p)`` row histogram — plus one key per
+    non-zero block; it never grows with repeated passes over the same
+    tiles.  Keys are ``grid tile id * ceil(p/b) ** 2 + block``; a
+    shape whose keys would not fit ``int64`` is refused at
+    construction.
 
     Precondition: batches must not repeat a coordinate (canonical
     Matrix Market input — what :func:`repro.io.write_matrix_market`
     emits and SuiteSparse distributes).  Duplicate coordinates would
-    be *summed* by :class:`SparseMatrix` but double-counted here.
-    Explicit zero values must be filtered out by the caller (pass
-    ``vals`` to :meth:`add` to do it here), matching the container's
-    zero-dropping canonicalization.
+    be *summed* by :class:`SparseMatrix` but double-counted here; a
+    tile row or column that so collects more than ``p`` entries is
+    refused with :class:`~repro.errors.PartitionError`.  Explicit zero
+    values must be filtered out by the caller (pass ``vals`` to
+    :meth:`add` to do it here), matching the container's zero-dropping
+    canonicalization.
     """
 
     def __init__(
@@ -558,22 +550,21 @@ class ProfileAccumulator:
         self.p = p
         self.block_size = block_size
         self._block_cols = -(-p // block_size)
-        self._stride = max(2 * p, self._block_cols**2)
-        if count_partitions(self.shape, p) * self._stride > 2**63:
+        if count_partitions(self.shape, p) * self._block_cols**2 > 2**63:
             raise PartitionError(
                 f"shape {self.shape} at p={p} has too many tiles to "
                 f"key in int64"
             )
-        self.n_entries = 0
-        empty_keys = np.zeros(0, dtype=np.int64)
-        empty_counts = np.zeros(0, dtype=np.int64)
-        # per-(tile, local row) and per-(tile, local col) entry counts
-        self._row_keys, self._row_counts = empty_keys, empty_counts
-        self._col_keys, self._col_counts = empty_keys, empty_counts
-        # distinct (tile, block) / (tile, block-row) / (tile, diagonal)
-        self._block_keys = empty_keys
-        self._brow_keys = empty_keys
-        self._diag_keys = empty_keys
+        self._grid_cols = grid_shape(self.shape, p)[1]
+        # sorted non-zero tile ids and (tile, block) keys seen so far,
+        # and the (rows, cols, diagonals) ``(slots, n_tiles)`` arrays
+        self._tiles = np.zeros(0, dtype=np.int64)
+        self._blocks = np.zeros(0, dtype=np.int64)
+        self._slots = (
+            np.zeros((p, 0), dtype=np.int32),
+            np.zeros((p, 0), dtype=np.int32),
+            np.zeros((2 * p - 1, 0), dtype=np.bool_),
+        )
 
     # ------------------------------------------------------------------
     def add(
@@ -603,106 +594,112 @@ class ProfileAccumulator:
             raise PartitionError("row indices out of bounds")
         if cols.min() < 0 or cols.max() >= self.shape[1]:
             raise PartitionError("column indices out of bounds")
-        self.n_entries += rows.size
 
-        p = self.p
-        grid_cols = grid_shape(self.shape, p)[1]
-        pid = (rows // p) * grid_cols + (cols // p)
-        local_rows = rows % p
-        local_cols = cols % p
-        base = pid * np.int64(self._stride)
+        p, block_size, block_cols = self.p, self.block_size, self._block_cols
+        tile_rows, local_rows = np.divmod(rows, p)
+        tile_cols, local_cols = np.divmod(cols, p)
+        blocks, inverse = np.unique(
+            (tile_rows * self._grid_cols + tile_cols) * block_cols**2
+            + local_rows // block_size * block_cols
+            + local_cols // block_size,
+            return_inverse=True,
+        )
+        del tile_rows, tile_cols
+        block_tiles = blocks // block_cols**2
+        first = np.ones(blocks.size, dtype=np.bool_)
+        np.not_equal(block_tiles[1:], block_tiles[:-1], out=first[1:])
+        tiles = block_tiles[first]
+        t = (np.cumsum(first) - 1)[inverse]
+        n = tiles.size
 
-        batch_keys, batch_counts = np.unique(
-            base + local_rows, return_counts=True
+        row_counts, col_counts = (
+            np.bincount(local * n + t, minlength=p * n)
+            .astype(np.int32)
+            .reshape(p, n)
+            for local in (local_rows, local_cols)
         )
-        self._row_keys, self._row_counts = _merge_key_counts(
-            self._row_keys, self._row_counts, batch_keys, batch_counts
-        )
-        batch_keys, batch_counts = np.unique(
-            base + local_cols, return_counts=True
-        )
-        self._col_keys, self._col_counts = _merge_key_counts(
-            self._col_keys, self._col_counts, batch_keys, batch_counts
+        flags = np.zeros((2 * p - 1) * n, dtype=np.bool_)
+        flags[(local_cols - local_rows + (p - 1)) * n + t] = True
+        self._merge(
+            tiles,
+            blocks,
+            (row_counts, col_counts, flags.reshape(2 * p - 1, n)),
         )
 
-        block_size = self.block_size
-        block_rows = local_rows // block_size
-        block_key = block_rows * self._block_cols + local_cols // block_size
-        self._block_keys = np.union1d(self._block_keys, base + block_key)
-        self._brow_keys = np.union1d(self._brow_keys, base + block_rows)
-        diag = local_cols - local_rows + p  # shift into [1, 2p-1]
-        self._diag_keys = np.union1d(self._diag_keys, base + diag)
+    def _merge(
+        self, tiles: np.ndarray, blocks: np.ndarray, slots: tuple
+    ) -> None:
+        """Fold one batch's block keys and slot arrays into the state."""
+        if not self._tiles.size:
+            self._tiles, self._blocks, self._slots = tiles, blocks, slots
+        else:
+            self._blocks = _sorted_union(self._blocks, blocks)
+            merged = _sorted_union(self._tiles, tiles)
+            if merged.size > self._tiles.size:
+                # new tiles: widen every slot array to the merged ids
+                keep = np.searchsorted(merged, self._tiles)
+                grown = []
+                for old in self._slots:
+                    wide = np.zeros((old.shape[0], merged.size), old.dtype)
+                    wide[:, keep] = old
+                    grown.append(wide)
+                self._tiles, self._slots = merged, tuple(grown)
+            at = np.searchsorted(self._tiles, tiles)
+            for state, batch in zip(self._slots, slots):
+                state[:, at] += batch  # on bool occupancy, += is "or"
+        for axis, counted in zip(("row", "column"), self._slots[:2]):
+            most = int(counted.max())
+            if most > self.p:
+                raise PartitionError(
+                    f"a tile {axis} holds {most} entries in p={self.p} "
+                    f"cells: the input repeats a coordinate, breaking "
+                    f"the unique-coordinate contract"
+                )
 
     # ------------------------------------------------------------------
-    @property
-    def state_bytes(self) -> int:
-        """Approximate resident size of the running columnar state."""
-        arrays = (
-            self._row_keys,
-            self._row_counts,
-            self._col_keys,
-            self._col_counts,
-            self._block_keys,
-            self._brow_keys,
-            self._diag_keys,
-        )
-        return sum(a.nbytes for a in arrays)
-
     def finalize(self) -> ProfileTable:
         """Materialize the table, one row per non-zero tile in grid order."""
         p = self.p
-        stride = np.int64(self._stride)
-        # every non-empty tile has at least one (tile, row) pair, so
-        # the row keys enumerate the tile ids, ascending
-        tile_ids = np.unique(self._row_keys // stride)
-        n_tiles = tile_ids.size
+        n = self._tiles.size
+        rows, cols, diagonals = self._slots
 
-        def dense(keys: np.ndarray) -> np.ndarray:
-            return np.searchsorted(tile_ids, keys // stride)
+        # row histogram: one (tile, count) bin per non-empty tile row
+        flat = rows.ravel()
+        nonempty = np.flatnonzero(flat)
+        hist = np.bincount(
+            nonempty % n * p + flat[nonempty] - 1, minlength=n * p
+        ).reshape(n, p)
 
-        row_owner = dense(self._row_keys)
-        nnz = np.zeros(n_tiles, dtype=np.int64)
-        np.add.at(nnz, row_owner, self._row_counts)
-        nnz_rows = np.bincount(row_owner, minlength=n_tiles)
-        max_row = np.zeros(n_tiles, dtype=np.int64)
-        np.maximum.at(max_row, row_owner, self._row_counts)
-        hist_matrix = np.zeros((n_tiles, p), dtype=np.int64)
-        np.add.at(hist_matrix, (row_owner, self._row_counts - 1), 1)
-
-        col_owner = dense(self._col_keys)
-        nnz_cols = np.bincount(col_owner, minlength=n_tiles)
-        max_col = np.zeros(n_tiles, dtype=np.int64)
-        np.maximum.at(max_col, col_owner, self._col_counts)
-
-        n_blocks = np.bincount(
-            dense(self._block_keys), minlength=n_tiles
+        # block keys are sorted, so (tile, block row) keys are too
+        block_owner = np.searchsorted(
+            self._tiles, self._blocks // self._block_cols**2
         )
-        nnz_block_rows = np.bincount(
-            dense(self._brow_keys), minlength=n_tiles
-        )
+        block_rows = self._blocks // self._block_cols
+        first = np.ones(block_rows.size, dtype=np.bool_)
+        np.not_equal(block_rows[1:], block_rows[:-1], out=first[1:])
 
-        diag_owner = dense(self._diag_keys)
-        diag_lengths = p - np.abs(self._diag_keys % stride - p)
-        n_diagonals = np.bincount(diag_owner, minlength=n_tiles)
-        stored = np.zeros(n_tiles, dtype=np.int64)
-        np.add.at(stored, diag_owner, diag_lengths)
-        longest = np.zeros(n_tiles, dtype=np.int64)
-        np.maximum.at(longest, diag_owner, diag_lengths)
+        # diagonal d (0 .. 2p-2) has p - |d - (p-1)| cells
+        stored = np.zeros(n, dtype=np.int64)
+        longest = np.zeros(n, dtype=np.int32)
+        for d, touched in enumerate(diagonals):
+            cells = touched * np.int32(p - abs(d - (p - 1)))
+            stored += cells
+            np.maximum(longest, cells, out=longest)
 
         return ProfileTable(
             p=p,
             block_size=self.block_size,
-            nnz=nnz,
-            nnz_rows=nnz_rows,
-            nnz_cols=nnz_cols,
-            max_row_nnz=max_row,
-            max_col_nnz=max_col,
-            n_blocks=n_blocks,
-            nnz_block_rows=nnz_block_rows,
-            n_diagonals=n_diagonals,
+            nnz=rows.sum(axis=0, dtype=np.int64),
+            nnz_rows=np.count_nonzero(rows, axis=0),
+            nnz_cols=np.count_nonzero(cols, axis=0),
+            max_row_nnz=rows.max(axis=0),
+            max_col_nnz=cols.max(axis=0),
+            n_blocks=np.bincount(block_owner, minlength=n),
+            nnz_block_rows=np.bincount(block_owner[first], minlength=n),
+            n_diagonals=np.count_nonzero(diagonals, axis=0),
             dia_stored_len=stored,
             dia_max_len=longest,
-            row_nnz_hist=hist_matrix,
+            row_nnz_hist=hist,
         )
 
 

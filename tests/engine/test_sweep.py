@@ -441,3 +441,81 @@ class TestTelemetryPlumbing:
         assert workload_recipe_digest(materialized) == (
             matrix_content_key(materialized.matrix)
         )
+
+
+# ----------------------------------------------------------------------
+# Streamed (out-of-core) cells
+# ----------------------------------------------------------------------
+class TestStreamedCells:
+    @staticmethod
+    def _write(tmp_path, matrix, name="m.mtx"):
+        from repro.io import write_matrix_market
+
+        path = tmp_path / name
+        write_matrix_market(matrix, path)
+        return path
+
+    def test_one_parse_per_file_per_grid(self, tmp_path, monkeypatch):
+        import repro.io
+        from repro.engine import StreamedMatrixSpec
+        from repro.io import read_matrix_market
+
+        path = self._write(tmp_path, random_matrix(96, 0.05, seed=3))
+        opened = []
+
+        class CountingStream(repro.io.MatrixMarketStream):
+            def __init__(self, *args, **kwargs):
+                opened.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(repro.io, "MatrixMarketStream", CountingStream)
+        spec = StreamedMatrixSpec.of_file(path, name="m")
+        outcome = SweepRunner(backend="inline").run_grid(
+            [spec], ("csr", "dia"), (8, 16, 32)
+        )
+        assert len(opened) == 1
+        # one computed profile, the other two sizes served from it
+        assert outcome.stats.misses_for("profiles") == 1
+        assert outcome.stats.hits_for("profiles") == 5
+        whole = Workload("m", "streamed", read_matrix_market(path))
+        materialized = SweepRunner(backend="inline").run_grid(
+            [whole], ("csr", "dia"), (8, 16, 32)
+        )
+        assert outcome.results == materialized.results
+
+    def test_refusal_is_per_size(self, tmp_path):
+        # a coordinate repeated 10 times overfills an 8-wide tile row
+        # but not a 16-wide one: the p=8 refusal must not fail the
+        # p=16 cells that share its streamed pass
+        from repro.engine import StreamedMatrixSpec
+
+        path = tmp_path / "dup.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "32 32 11\n" + "1 1 1.0\n" * 10 + "20 7 2.0\n",
+            encoding="ascii",
+        )
+        spec = StreamedMatrixSpec.of_file(path, name="dup")
+        both = SweepRunner(backend="inline").run_grid(
+            [spec], ("csr",), (8, 16)
+        )
+        alone = SweepRunner(backend="inline").run_grid(
+            [spec], ("csr",), (16,)
+        )
+        assert [f.coords for f in both.failures] == [("dup", "csr", 8)]
+        assert both.failures[0].error_type == "PartitionError"
+        assert both.results == alone.results
+
+    def test_invalid_size_fails_only_its_cells(self, tmp_path):
+        # p=2 is below the default block size: that cell's config is
+        # invalid, and it must not fail the shared streamed pass
+        from repro.engine import StreamedMatrixSpec
+
+        path = self._write(tmp_path, random_matrix(64, 0.05, seed=1))
+        spec = StreamedMatrixSpec.of_file(path, name="m")
+        outcome = SweepRunner(backend="inline").run_grid(
+            [spec], ("csr",), (2, 8)
+        )
+        assert [f.coords for f in outcome.failures] == [("m", "csr", 2)]
+        assert outcome.failures[0].error_type == "HardwareConfigError"
+        assert [r.partition_size for r in outcome.results] == [8]

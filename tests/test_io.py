@@ -218,7 +218,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.io import MatrixMarketStream, streaming_profile_table
+from repro.errors import PartitionError
+from repro.io import (
+    MatrixMarketStream,
+    streaming_profile_table,
+    streaming_profile_tables,
+)
 from repro.partition import (
     PROFILE_COLUMNS,
     PartitionProfile,
@@ -240,17 +245,17 @@ def assert_tables_equal(streamed, exact) -> None:
 
 
 @st.composite
-def sparse_matrices(draw):
+def sparse_matrices(draw, max_dim: int = 40, max_entries: int = 120):
     """Small matrices with unique coordinates and non-zero values."""
-    n_rows = draw(st.integers(min_value=1, max_value=40))
-    n_cols = draw(st.integers(min_value=1, max_value=40))
+    n_rows = draw(st.integers(min_value=1, max_value=max_dim))
+    n_cols = draw(st.integers(min_value=1, max_value=max_dim))
     coords = draw(
         st.lists(
             st.tuples(
                 st.integers(min_value=0, max_value=n_rows - 1),
                 st.integers(min_value=0, max_value=n_cols - 1),
             ),
-            max_size=120,
+            max_size=max_entries,
             unique=True,
         )
     )
@@ -300,6 +305,79 @@ class TestStreamingEquivalence:
         assert_tables_equal(
             accumulator.finalize(), profile_table(loads(text), 8)
         )
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        matrix=sparse_matrices(max_dim=80, max_entries=200),
+        p=st.sampled_from((4, 8, 16, 32)),
+        block_size=st.integers(min_value=1, max_value=5),
+        data=st.data(),
+    )
+    def test_permuted_uneven_batches_match_oracle(
+        self, matrix, p, block_size, data
+    ):
+        # any entry order and any batch boundaries, against the
+        # tile-by-tile oracle; b need not divide p and may exceed it
+        order = np.array(
+            data.draw(st.permutations(range(matrix.nnz))), dtype=np.int64
+        )
+        cuts = sorted(
+            data.draw(
+                st.lists(st.integers(0, matrix.nnz), max_size=6)
+            )
+        )
+        accumulator = ProfileAccumulator(
+            matrix.shape, p, block_size=block_size
+        )
+        for batch in np.split(order, cuts):
+            accumulator.add(matrix.rows[batch], matrix.cols[batch])
+        reference = [
+            PartitionProfile.of_block(tile.block, p, block_size=block_size)
+            for tile in partition_matrix(matrix, p)
+        ]
+        assert accumulator.finalize().profiles() == reference
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        matrix=sparse_matrices(max_dim=80),
+        sizes=st.sets(st.sampled_from((4, 8, 16, 32)), min_size=1),
+        block_size=st.integers(min_value=1, max_value=4),
+    )
+    def test_multi_size_stream_matches_per_size(
+        self, matrix, sizes, block_size
+    ):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.mtx"
+            write_matrix_market(matrix, path)
+            tables = streaming_profile_tables(
+                path, sizes, block_size=block_size, memory_budget_mb=0.01
+            )
+            exact = read_matrix_market(path)
+        assert tables.keys() == sizes
+        for p in sizes:
+            assert_tables_equal(
+                tables[p], profile_table(exact, p, block_size=block_size)
+            )
+
+    def test_coordinate_repeated_past_p_refused(self, tmp_path):
+        # a tile row or column holding more than p entries can only
+        # come from a repeated coordinate: a typed refusal, never an
+        # IndexError or a mis-binned histogram
+        path = tmp_path / "dup.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "8 8 10\n" + "1 1 1.0\n" * 10,
+            encoding="ascii",
+        )
+        with pytest.raises(PartitionError, match="unique-coordinate"):
+            streaming_profile_table(path, 8)
+
+    def test_repeats_split_across_batches_refused(self):
+        accumulator = ProfileAccumulator((8, 8), 4)
+        for _ in range(4):
+            accumulator.add(np.array([2]), np.array([3]))
+        with pytest.raises(PartitionError, match="unique-coordinate"):
+            accumulator.add(np.array([2]), np.array([3]))
 
     def test_explicit_zeros_dropped_like_sparse_matrix(self, tmp_path):
         # SparseMatrix canonicalizes explicit zeros away; the streaming
