@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .. import io_atomic
+from ..bench import _best_time
 from ..core.recommend import recommend
 from ..engine.specs import WorkloadSpec
 from ..errors import AdvisorError
@@ -100,15 +100,6 @@ def default_latency_specs(n: int = 2048) -> tuple[WorkloadSpec, ...]:
             n, 256, seed=13, name=f"lat-band-n{n}-w256"
         ),
     )
-
-
-def _best_time(run, repeats: int) -> float:
-    best = math.inf
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        run()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _exact_cycles(

@@ -5,7 +5,7 @@ crashes, delays and corrupts at chosen sweep cells.  This module
 attacks the *durability* path: the filesystem and process boundaries
 between the queue, the checkpoints and the serve layer, which is
 where distributed systems actually lose data.  Faults are declared in
-a compact grammar mirroring the fault plan's::
+the fault grammar of :mod:`repro.faultgrammar`::
 
     torn-write@checkpoint#frac=0.4#after=3
     stale-lease@worker#after=2
@@ -14,11 +14,11 @@ a compact grammar mirroring the fault plan's::
     crash@merge
     sigterm@serve#midflight
 
-``kind@target`` names what fires and where; ``#key=value`` options
-tune *when* (``after`` counts matching operations before the first
-firing, ``times`` bounds repeat firings, ``none`` = unlimited) and
-*how hard* (``frac`` = fraction of the record that hits disk before
-the tear, ``ms`` = injected latency).
+Options tune *when* (``after`` counts matching operations before the
+first firing, ``times`` bounds repeat firings, ``none`` = unlimited)
+and *how hard* (``frac`` = fraction of the record that hits disk
+before the tear, ``ms`` = injected latency); ``#midflight`` is a
+descriptive flag.
 
 Execution is hook-based: write sites announce operations through
 :func:`repro.io_atomic.fire` and an installed :class:`ChaosPlan`
@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import ChaosCrash, SweepConfigError
-from .. import io_atomic
+from .. import faultgrammar, io_atomic
 from ..io_atomic import HookSuppressed
 from .faults import CRASH_EXIT_STATUS
 
@@ -171,17 +171,7 @@ class ChaosSpec:
 
     def describe(self) -> str:
         """Round-trippable compact form of this spec."""
-        parts = [f"{self.kind}@{self.target}"]
-        if self.kind == "torn-write" and self.frac != 0.5:
-            parts.append(f"frac={self.frac:g}")
-        if self.after != 1:
-            parts.append(f"after={self.after}")
-        if self.kind == "slow-io":
-            parts.append(f"ms={self.ms:g}")
-        if self.times != 1:
-            times = "none" if self.times is None else str(self.times)
-            parts.append(f"times={times}")
-        return "#".join(parts)
+        return _GRAMMAR.describe(self)
 
 
 def _classify(path: Path) -> str:
@@ -200,55 +190,19 @@ def _classify(path: Path) -> str:
     return "checkpoint"
 
 
-def _parse_options(spec: str, text: str) -> dict:
-    options: dict = {}
-    for clause in text.split("#"):
-        if not clause:
-            continue
-        key, sep, value = clause.partition("=")
-        if key == "midflight" and not sep:
-            continue  # descriptive flag for sigterm@serve
-        if not sep:
-            raise SweepConfigError(
-                f"chaos option {clause!r} in {spec!r} must be "
-                f"key=value"
-            )
-        try:
-            if key == "frac":
-                options["frac"] = float(value)
-            elif key == "after":
-                options["after"] = int(value)
-            elif key == "ms":
-                options["ms"] = float(value)
-            elif key == "times":
-                options["times"] = (
-                    None if value == "none" else int(value)
-                )
-            else:
-                raise SweepConfigError(
-                    f"unknown chaos option {key!r} in {spec!r}"
-                )
-        except ValueError as error:
-            raise SweepConfigError(
-                f"invalid chaos option {clause!r} in {spec!r}: "
-                f"{error}"
-            ) from error
-    return options
-
-
-def _parse_one(text: str) -> ChaosSpec:
-    head, _, option_text = text.partition("#")
-    kind, sep, target = head.partition("@")
-    if not sep or not kind or not target:
-        raise SweepConfigError(
-            f"chaos spec {text!r} must look like kind@target"
-            f"[#key=value...]"
-        )
-    return ChaosSpec(
-        kind=kind.strip(),
-        target=target.strip(),
-        **_parse_options(text, option_text),
-    )
+_GRAMMAR = faultgrammar.Grammar(
+    what="chaos",
+    spec=ChaosSpec,
+    options={
+        "frac": ("frac", faultgrammar.number),
+        "after": ("after", int),
+        "ms": ("ms", faultgrammar.number),
+        "times": ("times", faultgrammar.times),
+    },
+    target=lambda target: {"target": target},
+    where=lambda spec: spec.target,
+    flags=frozenset({"midflight"}),
+)
 
 
 @dataclass
@@ -268,16 +222,7 @@ class ChaosPlan:
     @classmethod
     def parse(cls, text: str) -> "ChaosPlan":
         """Parse a comma-separated chaos plan string."""
-        specs = tuple(
-            _parse_one(clause.strip())
-            for clause in text.split(",")
-            if clause.strip()
-        )
-        if not specs:
-            raise SweepConfigError(
-                f"chaos plan {text!r} contains no specs"
-            )
-        return cls(specs)
+        return cls(_GRAMMAR.parse_plan(text))
 
     @classmethod
     def of(cls, *specs: ChaosSpec) -> "ChaosPlan":

@@ -9,7 +9,7 @@ evaluates immediately before executing each cell, so the same plan
 produces the same faults at the same cells on every run, any worker
 count, and every retry attempt.
 
-Three fault kinds cover the interesting failure classes:
+Four fault kinds cover the interesting failure classes:
 
 ``raise``
     Raise :class:`InjectedFault` inside the cell — an ordinary Python
@@ -40,8 +40,12 @@ dispatch attempts of the cell's chunk, so a "transient" crash that
 succeeds on retry is one spec away.  ``times=None`` makes the fault
 persistent.
 
-Plans parse from a compact spec string (the hidden
-``repro sweep --inject-faults`` flag uses this)::
+Plans are written in the fault grammar of :mod:`repro.faultgrammar`
+(the hidden ``repro sweep --inject-faults`` flag takes them).  A
+target is ``workload:format:p`` (``*`` wildcards) or ``every:N``;
+options are ``times``, ``delay``, and for ``corrupt`` the
+:class:`~repro.formats.corrupt.CorruptionSpec` settings ``ckind``,
+``plane``, ``ber``, ``fraction`` and ``mode``::
 
     raise@rand-0.01:csr:16          # one exact cell
     crash@*:coo:*                   # every coo cell, first attempt
@@ -56,8 +60,8 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Iterable
 
+from .. import faultgrammar
 from ..errors import SweepConfigError, WorkerCrashError
 from ..formats.corrupt import CorruptionSpec
 
@@ -96,6 +100,7 @@ class FaultSpec:
     corrupt_kind: str = "bitflip"
     plane: str = "*"
     ber: float = 1e-3
+    fraction: float = 0.25
     decode_mode: str = "strict"
 
     def __post_init__(self) -> None:
@@ -154,25 +159,13 @@ class FaultSpec:
             kind=self.corrupt_kind,
             plane=self.plane,
             ber=self.ber,
+            fraction=self.fraction,
             decode_mode=self.decode_mode,
         )
 
     # ------------------------------------------------------------------
     def describe(self) -> str:
-        where = (
-            f"every:{self.every_nth}"
-            if self.every_nth is not None
-            else ":".join(
-                "*" if part is None else str(part)
-                for part in (
-                    self.workload, self.format_name, self.partition_size
-                )
-            )
-        )
-        text = f"{self.kind}@{where}"
-        if self.kind == "corrupt":
-            text += f"#ckind={self.corrupt_kind}#mode={self.decode_mode}"
-        return text
+        return _GRAMMAR.describe(self)
 
 
 @dataclass(frozen=True)
@@ -251,16 +244,7 @@ class FaultPlan:
     @classmethod
     def parse(cls, text: str) -> "FaultPlan":
         """Parse a comma-separated compact spec string (see module doc)."""
-        specs = []
-        for part in text.split(","):
-            part = part.strip()
-            if part:
-                specs.append(_parse_one(part))
-        if not specs:
-            raise SweepConfigError(
-                f"fault plan {text!r} contains no fault specs"
-            )
-        return cls(specs=tuple(specs))
+        return cls(specs=_GRAMMAR.parse_plan(text))
 
     @classmethod
     def of(cls, *specs: FaultSpec) -> "FaultPlan":
@@ -270,83 +254,46 @@ class FaultPlan:
         return ",".join(spec.describe() for spec in self.specs)
 
 
-def _parse_options(chunks: Iterable[str]) -> dict:
-    options: dict = {}
-    for chunk in chunks:
-        key, sep, value = chunk.partition("=")
-        if not sep:
-            raise SweepConfigError(
-                f"fault option {chunk!r} is not key=value"
-            )
-        if key == "times":
-            options["times"] = (
-                None if value.lower() == "none" else _parse_int(value, key)
-            )
-        elif key == "delay":
-            try:
-                options["delay_s"] = float(value)
-            except ValueError:
-                raise SweepConfigError(
-                    f"fault option delay={value!r} is not a number"
-                ) from None
-        elif key == "ckind":
-            options["corrupt_kind"] = value
-        elif key == "plane":
-            options["plane"] = value
-        elif key == "ber":
-            try:
-                options["ber"] = float(value)
-            except ValueError:
-                raise SweepConfigError(
-                    f"fault option ber={value!r} is not a number"
-                ) from None
-        elif key == "mode":
-            options["decode_mode"] = value
-        else:
-            raise SweepConfigError(
-                f"unknown fault option {key!r}; known: times, delay, "
-                f"ckind, plane, ber, mode"
-            )
-    return options
-
-
-def _parse_int(value: str, label: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise SweepConfigError(
-            f"fault option {label}={value!r} is not an integer"
-        ) from None
-
-
-def _parse_one(text: str) -> FaultSpec:
-    head, *option_chunks = text.split("#")
-    kind, sep, where = head.partition("@")
-    if not sep or not where:
-        raise SweepConfigError(
-            f"fault spec {text!r} must look like kind@target "
-            f"(e.g. raise@rand-0.01:csr:16, crash@every:5)"
-        )
-    options = _parse_options(option_chunks)
+def _cell_target(where: str) -> dict:
+    """The fields of a ``workload:format:p`` or ``every:N`` target."""
     if where.startswith("every:"):
-        return FaultSpec(
-            kind=kind,
-            every_nth=_parse_int(where[len("every:"):], "every"),
-            **options,
-        )
-    parts = where.split(":")
+        return {"every_nth": int(where[len("every:"):])}
+    parts = [part.strip() for part in where.split(":")]
     if len(parts) != 3:
-        raise SweepConfigError(
-            f"fault target {where!r} must be workload:format:p "
-            f"('*' wildcards) or every:N"
+        raise ValueError(
+            "must be workload:format:p ('*' wildcards) or every:N"
         )
-    workload, format_name, partition = parts
-    return FaultSpec(
-        kind=kind,
-        workload=None if workload == "*" else workload,
-        format_name=None if format_name == "*" else format_name,
-        partition_size=(
-            None if partition == "*" else _parse_int(partition, "p")
-        ),
-        **options,
+    workload, format_name, partition = (
+        None if part == "*" else part for part in parts
     )
+    return {
+        "workload": workload,
+        "format_name": format_name,
+        "partition_size": None if partition is None else int(partition),
+    }
+
+
+def _cell_where(spec: FaultSpec) -> str:
+    if spec.every_nth is not None:
+        return f"every:{spec.every_nth}"
+    return ":".join(
+        "*" if part is None else str(part)
+        for part in (spec.workload, spec.format_name, spec.partition_size)
+    )
+
+
+_GRAMMAR = faultgrammar.Grammar(
+    what="fault",
+    spec=FaultSpec,
+    options={
+        "times": ("times", faultgrammar.times),
+        "delay": ("delay_s", faultgrammar.number),
+        "ckind": ("corrupt_kind", str),
+        "plane": ("plane", str),
+        "ber": ("ber", faultgrammar.number),
+        "fraction": ("fraction", faultgrammar.number),
+        "mode": ("decode_mode", str),
+    },
+    target=_cell_target,
+    where=_cell_where,
+)

@@ -38,7 +38,6 @@ from .corrupt import (
     CORRUPTION_KINDS,
     CorruptionSpec,
     StreamCorruptor,
-    parse_corruption,
 )
 from .integrity import (
     DECODE_MODES,
@@ -113,5 +112,4 @@ __all__ = [
     "CORRUPTION_KINDS",
     "CorruptionSpec",
     "StreamCorruptor",
-    "parse_corruption",
 ]

@@ -3,8 +3,9 @@
 The counterpart of :mod:`repro.formats.integrity`: where that module
 *detects* damage, this one *injects* it — reproducibly, so a detection
 coverage experiment is a pure function of its seed.  Corruption specs
-reuse the compact selector grammar of :mod:`repro.engine.faults`
-(``kind@target#key=value``)::
+are written in the fault grammar of :mod:`repro.faultgrammar`; the
+target is the plane selector and the options are ``ber``,
+``fraction`` and ``mode``::
 
     bitflip@payload#ber=0.001     # payload bit flips at a target BER
     bitflip@values                # flips confined to one plane
@@ -25,10 +26,11 @@ alone — same seed, same damage, every run.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
+from .. import faultgrammar
 from ..errors import FormatError, SweepConfigError
 from .base import EncodedMatrix
 from .integrity import DECODE_MODES, FrameLayout, frame_layout
@@ -37,7 +39,6 @@ __all__ = [
     "CORRUPTION_KINDS",
     "CorruptionSpec",
     "StreamCorruptor",
-    "parse_corruption",
 ]
 
 #: Supported corruption kinds.
@@ -103,54 +104,25 @@ class CorruptionSpec:
             )
 
     def describe(self) -> str:
-        options = []
-        if self.kind == "bitflip" and self.ber != 1e-3:
-            options.append(f"ber={self.ber:g}")
-        if self.kind == "truncate" and self.fraction != 0.25:
-            options.append(f"fraction={self.fraction:g}")
-        if self.decode_mode != "strict":
-            options.append(f"mode={self.decode_mode}")
-        tail = "#" + "#".join(options) if options else ""
-        return f"{self.kind}@{self.plane}{tail}"
+        return _GRAMMAR.describe(self)
 
     @classmethod
     def parse(cls, text: str) -> "CorruptionSpec":
         """Parse one ``kind@target#key=value`` selector."""
-        head, *option_chunks = text.strip().split("#")
-        kind, sep, plane = head.partition("@")
-        if not sep or not plane:
-            raise SweepConfigError(
-                f"corruption spec {text!r} must look like kind@target "
-                f"(e.g. bitflip@payload#ber=0.001, truncate@*)"
-            )
-        options: dict = {}
-        for chunk in option_chunks:
-            key, eq, value = chunk.partition("=")
-            if not eq:
-                raise SweepConfigError(
-                    f"corruption option {chunk!r} is not key=value"
-                )
-            if key in ("ber", "fraction"):
-                try:
-                    options[key] = float(value)
-                except ValueError:
-                    raise SweepConfigError(
-                        f"corruption option {key}={value!r} is not "
-                        f"a number"
-                    ) from None
-            elif key == "mode":
-                options["decode_mode"] = value
-            else:
-                raise SweepConfigError(
-                    f"unknown corruption option {key!r}; "
-                    f"known: ber, fraction, mode"
-                )
-        return cls(kind=kind, plane=plane, **options)
+        return _GRAMMAR.parse(text)
 
 
-def parse_corruption(text: str) -> CorruptionSpec:
-    """Module-level alias of :meth:`CorruptionSpec.parse`."""
-    return CorruptionSpec.parse(text)
+_GRAMMAR = faultgrammar.Grammar(
+    what="corruption",
+    spec=CorruptionSpec,
+    options={
+        "ber": ("ber", faultgrammar.number),
+        "fraction": ("fraction", faultgrammar.number),
+        "mode": ("decode_mode", str),
+    },
+    target=lambda plane: {"plane": plane},
+    where=lambda spec: spec.plane,
+)
 
 
 def _salt(key: tuple) -> int:
@@ -345,9 +317,3 @@ class StreamCorruptor:
     def __repr__(self) -> str:
         return f"StreamCorruptor(seed={self.seed})"
 
-
-def spec_with_mode(
-    spec: CorruptionSpec, decode_mode: str
-) -> CorruptionSpec:
-    """Copy of ``spec`` under a different downstream decode policy."""
-    return replace(spec, decode_mode=decode_mode)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import pickle
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from repro.engine.checkpoint import checkpoint_digest
 from repro.errors import ChaosCrash, SweepConfigError
 from repro.io_atomic import HookSuppressed
 
+ROOT = Path(__file__).resolve().parents[2]
 SPECS = (WorkloadSpec.random(48, 0.1, seed=5),)
 FORMATS = ("csr", "coo")
 PARTITIONS = (8,)
@@ -61,13 +63,32 @@ class TestGrammar:
         assert plan.specs[2].ms == 40.0
 
     def test_describe_round_trips(self):
-        text = (
+        for text in (
             "torn-write@shards#frac=0.25#after=2,"
             "slow-io@blobs#ms=15#times=none,"
-            "crash@worker"
-        )
-        plan = ChaosPlan.parse(text)
-        assert ChaosPlan.parse(plan.describe()).specs == plan.specs
+            "crash@worker",
+            # README and module docstring examples
+            "torn-write@checkpoint#frac=0.4#after=3",
+            "stale-lease@worker#after=2",
+            "stale-lease@worker#times=none",
+            "slow-io@blobs#ms=40",
+            "disk-full@shards#after=5",
+            "crash@merge",
+            "sigterm@serve#midflight",
+            # whitespace around tokens is ignored
+            " crash @ merge ",
+        ):
+            plan = ChaosPlan.parse(text)
+            assert ChaosPlan.parse(plan.describe()).specs == plan.specs
+
+    def test_committed_campaign_plans_describe_verbatim(self):
+        report = json.loads((ROOT / "BENCH_chaos.json").read_text())
+        plans = [
+            s["plan"] for s in report["schedules"] if s["kind"] == "queue"
+        ]
+        assert plans
+        for text in plans:
+            assert ChaosPlan.parse(text).describe() == text
 
     @pytest.mark.parametrize(
         "text",
@@ -81,6 +102,8 @@ class TestGrammar:
             "torn-write@checkpoint#frac=1.5", # frac out of range
             "crash@merge#after=0",            # after < 1
             "crash@merge#times=0",            # times < 1
+            "slow-io@blobs#ms=nan",           # non-finite latency
+            "slow-io@blobs#ms=inf",
         ],
     )
     def test_bad_specs_raise(self, text):

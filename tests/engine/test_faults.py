@@ -161,6 +161,8 @@ class TestParse:
             "raise@a:b:16#times=maybe",
             "raise@a:b:16#delay=soon",
             "raise@a:b:16#color=red",
+            "delay@every:1#delay=nan",
+            "delay@every:1#delay=inf",
         ],
     )
     def test_bad_specs_raise_config_errors(self, text):
@@ -205,6 +207,12 @@ class TestCorruptFaults:
         text = FaultPlan.parse("corrupt@*:csr:*#ckind=truncate").describe()
         assert "ckind=truncate" in text
         assert "corrupt@*:csr:*" in text
+
+    def test_fraction_reaches_the_corruption_spec(self):
+        plan = FaultPlan.parse("corrupt@*:csr:*#ckind=truncate#fraction=0.5")
+        corruption = plan.corruption_for(("w", "csr", 8), index=0)
+        assert corruption.kind == "truncate"
+        assert corruption.fraction == 0.5
 
     @pytest.mark.parametrize(
         "text",

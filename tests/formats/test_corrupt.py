@@ -11,7 +11,6 @@ from repro.formats.corrupt import (
     CORRUPTION_KINDS,
     CorruptionSpec,
     StreamCorruptor,
-    parse_corruption,
 )
 from repro.formats.integrity import frame, frame_layout
 from repro.workloads import random_matrix
@@ -29,7 +28,7 @@ def framed(encoded):
 
 class TestSpecGrammar:
     def test_parse_full_selector(self):
-        spec = parse_corruption("bitflip@values#ber=0.01#mode=repair")
+        spec = CorruptionSpec.parse("bitflip@values#ber=0.01#mode=repair")
         assert spec.kind == "bitflip"
         assert spec.plane == "values"
         assert spec.ber == 0.01
@@ -40,9 +39,18 @@ class TestSpecGrammar:
             "bitflip@payload#ber=0.001",
             "truncate@*#fraction=0.5",
             "tamper@offsets#mode=lenient",
+            # the module docstring's examples
+            "bitflip@values",
+            "truncate@*#fraction=0.25",
+            "truncate@indices",
+            "tamper@header",
+            "tamper@offsets#mode=repair",
+            # whitespace around tokens is ignored
+            " bitflip @ values",
+            "bitflip@* # ber = 0.01 ",
         ):
-            spec = parse_corruption(text)
-            assert parse_corruption(spec.describe()) == spec
+            spec = CorruptionSpec.parse(text)
+            assert CorruptionSpec.parse(spec.describe()) == spec
 
     @pytest.mark.parametrize(
         "text",
@@ -58,7 +66,7 @@ class TestSpecGrammar:
     )
     def test_invalid_specs_rejected(self, text):
         with pytest.raises(SweepConfigError):
-            parse_corruption(text)
+            CorruptionSpec.parse(text)
 
     def test_known_kinds(self):
         assert CORRUPTION_KINDS == ("bitflip", "truncate", "tamper")
