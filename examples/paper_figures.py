@@ -2,14 +2,16 @@
 """Regenerate every paper figure's series in one run.
 
 A compact version of the benchmark harness: smaller workloads, every
-figure's numbers printed, and the full result cube saved to
-``copernicus_results.json`` for external plotting.  For the asserted,
-full-scale versions run ``pytest benchmarks/ --benchmark-only -s``.
+figure's numbers printed, and the full result cube saved as one run
+manifest per workload group (``PREFIX.<group>.manifest.jsonl``) for
+external plotting; inspect or diff them with ``python -m repro stats``.
+For the asserted, full-scale versions run
+``pytest benchmarks/ --benchmark-only -s``.
 
 The whole cube runs through the sweep engine; pass ``--workers N`` to
 fan the workloads out over N processes.
 
-Run:  python examples/paper_figures.py [output.json] [--workers N]
+Run:  python examples/paper_figures.py [PREFIX] [--workers N]
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ except ModuleNotFoundError:  # running from a source checkout
     )
 
 from repro.analysis import bar_chart, grouped_series
-from repro.core import save_results, summarize
+from repro.core import summarize
 from repro.engine import SweepRunner
 from repro.formats import PAPER_FORMATS
 from repro.partition import PARTITION_SIZES, partition_statistics
@@ -37,25 +39,19 @@ from repro.workloads import band_suite, random_suite, suitesparse_suite
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "output", nargs="?", default="copernicus_results.json"
+        "prefix", nargs="?", default="copernicus_results",
+        help="manifest path prefix (default: copernicus_results)",
     )
     parser.add_argument(
         "--workers", type=int, default=1,
         help="worker processes for the sweep engine (default: 1)",
     )
-    parser.add_argument(
-        "--emit-metrics", action="store_true",
-        help="drop one run manifest per workload group next to the "
-        "output JSON (inspect with `python -m repro stats`)",
-    )
     args = parser.parse_args()
-    output = args.output
     groups = {
         "suitesparse": suitesparse_suite(max_dim=1024, seed=0),
         "random": random_suite(n=512, seed=0),
         "band": band_suite(n=1024, seed=0),
     }
-    all_results = []
 
     # Figure 3: density statistics of the SuiteSparse stand-ins.
     print("== Figure 3: partition density (p = 16), SuiteSparse ==")
@@ -71,9 +67,7 @@ def main() -> None:
     # engine: partition profiles are computed once per (workload, p)
     # and shared by all eight formats.
     runner = SweepRunner(
-        max_workers=args.workers,
-        telemetry=args.emit_metrics,
-        error_policy="fail_fast",
+        max_workers=args.workers, telemetry=True, error_policy="fail_fast"
     )
     cube: dict[tuple[str, str, int], object] = {}
     for group_name, workloads in groups.items():
@@ -81,17 +75,14 @@ def main() -> None:
             workloads, PAPER_FORMATS, partition_sizes=PARTITION_SIZES
         )
         cube.update(outcome.by_coords())
-        all_results.extend(outcome.results)
+        manifest = outcome.write_manifest(
+            f"{args.prefix}.{group_name}.manifest.jsonl",
+            extra={"group": group_name, "source": "paper_figures"},
+        )
         print(
             f"swept {group_name}: {len(outcome)} cells, "
-            f"{outcome.stats.total_hits} cache hits"
+            f"{outcome.stats.total_hits} cache hits -> {manifest}"
         )
-        if args.emit_metrics:
-            manifest = outcome.write_manifest(
-                f"{output}.{group_name}.manifest.jsonl",
-                extra={"group": group_name, "source": "paper_figures"},
-            )
-            print(f"  manifest: {manifest}")
     print()
 
     def series(group: str, metric: str, p: int = 16):
@@ -155,12 +146,6 @@ def main() -> None:
             title=group_name,
         ))
         print()
-
-    save_results(
-        all_results, output,
-        metadata={"scales": "suitesparse<=1024, random=512, band=1024"},
-    )
-    print(f"saved {len(all_results)} records to {output}")
 
 
 if __name__ == "__main__":

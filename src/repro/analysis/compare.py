@@ -1,9 +1,10 @@
 """A/B comparison of saved characterization results.
 
 Model constants, workload scales and format implementations all
-evolve; this module diffs two record sets (as produced by
-:mod:`repro.core.store`) coordinate by coordinate and reports the
-metric deltas — the regression-tracking companion to the benchmarks.
+evolve; this module diffs the cell records of two run manifests
+(:mod:`repro.observability.manifest`, the one saved-results format)
+coordinate by coordinate and reports the metric deltas — the
+regression-tracking view behind ``repro stats NEW --against BASE``.
 """
 
 from __future__ import annotations
@@ -16,14 +17,17 @@ from .tables import format_table
 
 __all__ = ["MetricDelta", "compare_records", "comparison_table"]
 
-#: Metrics compared by default.
+#: Cell metrics compared by default (and by ``repro stats --against``).
 DEFAULT_METRICS = (
-    "sigma",
     "total_cycles",
+    "sigma",
     "balance_ratio",
+    "total_bytes",
+    "framed_total_bytes",
     "throughput_bytes_per_s",
     "bandwidth_utilization",
     "dynamic_power_w",
+    "wall_s",
 )
 
 

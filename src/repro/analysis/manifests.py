@@ -3,8 +3,7 @@
 The plain-text companion of :mod:`repro.observability.manifest`:
 ``manifest_summary_table`` is what ``python -m repro stats <manifest>``
 prints, ``manifest_diff_table`` is the ``--against`` regression view
-(built on :func:`repro.analysis.compare.compare_records`, since cell
-records deliberately share the store-record field names), and
+(built on :func:`repro.analysis.compare.compare_records`), and
 ``profile_table`` summarizes live :class:`~repro.engine.RunTelemetry`
 for ``repro sweep --profile``.
 """
@@ -12,25 +11,14 @@ for ``repro sweep --profile``.
 from __future__ import annotations
 
 from ..observability.manifest import Manifest
-from .compare import compare_records, comparison_table
+from .compare import DEFAULT_METRICS, compare_records, comparison_table
 from .tables import format_table
 
 __all__ = [
     "manifest_summary_table",
     "manifest_diff_table",
     "profile_table",
-    "MANIFEST_DIFF_METRICS",
 ]
-
-#: Cell metrics diffed by ``repro stats --against`` by default.
-MANIFEST_DIFF_METRICS = (
-    "total_cycles",
-    "sigma",
-    "balance_ratio",
-    "total_bytes",
-    "framed_total_bytes",
-    "wall_s",
-)
 
 
 def _cache_rows(cache: dict) -> list[list]:
@@ -148,7 +136,7 @@ def manifest_diff_table(
     after: Manifest,
     min_relative: float = 0.01,
     limit: int = 20,
-    metrics: tuple[str, ...] = MANIFEST_DIFF_METRICS,
+    metrics: tuple[str, ...] = DEFAULT_METRICS,
 ) -> str:
     """Cell-by-cell regression diff of two manifests.
 

@@ -12,14 +12,16 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..core.recommend import Constraints, recommend
+from ..core.recommend import Constraints, recommend_from_results
 from ..core.simulator import SpmvSimulator
 from ..core.summary import SUMMARY_METRICS, summarize
-from ..formats.registry import PAPER_FORMATS
+from ..engine import run_sweep
+from ..formats.registry import PAPER_FORMATS, SPARSE_FORMATS
 from ..hardware.config import DEFAULT_CONFIG, HardwareConfig
 from ..hardware.trace import trace_pipeline
 from ..matrix import SparseMatrix
 from ..partition import PARTITION_SIZES, partition_statistics
+from ..workloads.registry import Workload
 from .tables import format_table
 from .timeline import render_timeline
 
@@ -64,17 +66,13 @@ def _locality_section(matrix: SparseMatrix) -> list[str]:
 
 
 def _metric_grid(
-    matrix: SparseMatrix,
-    formats: Sequence[str],
-    base_config: HardwareConfig,
+    cells: dict, formats: Sequence[str]
 ) -> list[str]:
     lines = ["## Metrics per format and partition size", ""]
     for p in PARTITION_SIZES:
-        simulator = SpmvSimulator(base_config.with_partition_size(p))
-        table = simulator.profile_table(matrix)
         rows = []
         for name in formats:
-            result = simulator.run_format(name, table, "")
+            result = cells[(name, p)]
             rows.append(
                 [
                     name,
@@ -99,17 +97,11 @@ def _metric_grid(
 
 
 def _summary_section(
-    matrix: SparseMatrix,
-    formats: Sequence[str],
-    base_config: HardwareConfig,
+    cells: dict, formats: Sequence[str]
 ) -> list[str]:
-    results = []
-    for p in PARTITION_SIZES:
-        simulator = SpmvSimulator(base_config.with_partition_size(p))
-        table = simulator.profile_table(matrix)
-        results.extend(
-            simulator.run_format(name, table, "") for name in formats
-        )
+    results = [
+        cells[(name, p)] for p in PARTITION_SIZES for name in formats
+    ]
     scores = sorted(
         summarize(results, formats), key=lambda s: s.overall, reverse=True
     )
@@ -144,12 +136,17 @@ def _timeline_section(
 
 
 def _recommendation_section(
-    matrix: SparseMatrix, constraints: Constraints | None
+    cells: dict, constraints: Constraints | None
 ) -> list[str]:
+    # recommend()'s candidate order (p, then format), so ties break
+    # the same way
+    candidates = [
+        cells[(name, p)] for p in PARTITION_SIZES for name in SPARSE_FORMATS
+    ]
     lines = ["## Recommendation", ""]
     for objective in ("latency", "bandwidth", "energy"):
-        choice = recommend(
-            matrix, objective=objective, constraints=constraints
+        choice = recommend_from_results(
+            candidates, objective=objective, constraints=constraints
         )
         lines.append(
             f"* optimize {objective}: {choice.format_name} at "
@@ -166,12 +163,29 @@ def characterization_report(
     base_config: HardwareConfig = DEFAULT_CONFIG,
     constraints: Constraints | None = None,
 ) -> str:
-    """Build the full plain-text report for one matrix."""
+    """Build the full plain-text report for one matrix.
+
+    One sweep-engine grid over ``formats`` plus the sparse formats the
+    recommendation ranks feeds the metric grid, the summary and the
+    recommendations; each (format, partition size) cell is simulated
+    once.
+    """
+    grid_formats = tuple(formats) + tuple(
+        f for f in SPARSE_FORMATS if f not in formats
+    )
+    results = run_sweep(
+        [Workload("", "", matrix)],
+        grid_formats,
+        PARTITION_SIZES,
+        base_config,
+        error_policy="fail_fast",
+    ).results
+    cells = {(r.format_name, r.partition_size): r for r in results}
     lines: list[str] = []
     lines.extend(_header(matrix, name))
     lines.extend(_locality_section(matrix))
-    lines.extend(_metric_grid(matrix, formats, base_config))
-    lines.extend(_summary_section(matrix, formats, base_config))
+    lines.extend(_metric_grid(cells, formats))
+    lines.extend(_summary_section(cells, formats))
     lines.extend(_timeline_section(matrix, base_config))
-    lines.extend(_recommendation_section(matrix, constraints))
+    lines.extend(_recommendation_section(cells, constraints))
     return "\n".join(lines)

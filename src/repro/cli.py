@@ -59,8 +59,6 @@ from typing import Sequence
 from .analysis import (
     EXPERIMENTS,
     characterization_report,
-    compare_records,
-    comparison_table,
     format_table,
     integrity_report_text,
     manifest_diff_table,
@@ -71,7 +69,6 @@ from .core import (
     SUMMARY_METRICS,
     SpmvSimulator,
     explore,
-    load_records,
     pareto_frontier,
     run_integrity_campaign,
     summarize,
@@ -491,17 +488,6 @@ def _cmd_stats(args: argparse.Namespace) -> str:
 def _cmd_report(args: argparse.Namespace) -> str:
     name, matrix = _build_workload(args)
     return characterization_report(matrix, name)
-
-
-def _cmd_compare(args: argparse.Namespace) -> str:
-    deltas = compare_records(
-        load_records(args.before),
-        load_records(args.after),
-        min_relative=args.threshold,
-    )
-    if not deltas:
-        return "no metric changes above the threshold"
-    return comparison_table(deltas, limit=args.limit)
 
 
 def _cmd_pareto(args: argparse.Namespace) -> str:
@@ -2149,21 +2135,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_workload_arguments(report)
     report.set_defaults(handler=_cmd_report)
-
-    compare = commands.add_parser(
-        "compare", help="diff two saved result files (JSON)"
-    )
-    compare.add_argument("before", help="baseline results file")
-    compare.add_argument("after", help="new results file")
-    compare.add_argument(
-        "--threshold", type=float, default=0.01,
-        help="minimum relative change to report (default 1%%)",
-    )
-    compare.add_argument(
-        "--limit", type=int, default=20,
-        help="rows to print (default 20)",
-    )
-    compare.set_defaults(handler=_cmd_compare)
 
     pareto = commands.add_parser(
         "pareto", help="Pareto frontier over (format, p, lanes)"

@@ -1,4 +1,4 @@
-"""Characterization core: simulator, sweeps, and summaries."""
+"""Characterization core: simulator, recommendation, and summaries."""
 
 from .dse import DesignPoint, explore, pareto_frontier
 from .integrity import (
@@ -20,21 +20,8 @@ from .recommend import (
 )
 from .results import CharacterizationResult
 from .simulator import SpmvSimulator, characterize
-from .store import (
-    load_records,
-    records_by,
-    result_to_record,
-    save_results,
-)
 from .summary import SUMMARY_METRICS, FormatScore, summarize
-from .sweep import (
-    group_results,
-    mean_metric,
-    mean_sigma_by_format,
-    sweep,
-    sweep_formats,
-    sweep_partition_sizes,
-)
+from .sweep import group_results, mean_metric, mean_sigma_by_format
 
 __all__ = [
     "DesignPoint",
@@ -56,17 +43,10 @@ __all__ = [
     "CharacterizationResult",
     "SpmvSimulator",
     "characterize",
-    "load_records",
-    "records_by",
-    "result_to_record",
-    "save_results",
     "SUMMARY_METRICS",
     "FormatScore",
     "summarize",
     "group_results",
     "mean_metric",
     "mean_sigma_by_format",
-    "sweep",
-    "sweep_formats",
-    "sweep_partition_sizes",
 ]

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..errors import SimulationError
+from ..formats.registry import SPARSE_FORMATS
 from ..hardware.config import DEFAULT_CONFIG, HardwareConfig
 from ..matrix import SparseMatrix
 from ..partition import PARTITION_SIZES
 from .results import CharacterizationResult
-from .simulator import SpmvSimulator
 
 __all__ = [
     "OBJECTIVES",
@@ -226,27 +226,29 @@ def rank_predictions(
 def recommend(
     matrix: SparseMatrix,
     objective: str = "latency",
-    formats: Sequence[str] = (
-        "csr", "bcsr", "csc", "lil", "ell", "coo", "dia",
-    ),
+    formats: Sequence[str] = SPARSE_FORMATS,
     partition_sizes: Sequence[int] = PARTITION_SIZES,
     constraints: Constraints | None = None,
     base_config: HardwareConfig = DEFAULT_CONFIG,
 ) -> Recommendation:
     """Pick the best (format, partition size) for ``matrix``.
 
-    Every combination is characterized on the hardware model; designs
-    violating ``constraints`` are excluded, and the survivor optimizing
-    ``objective`` wins.
+    Every combination is characterized on the hardware model through
+    the sweep engine; designs violating ``constraints`` are excluded,
+    and the survivor optimizing ``objective`` wins.  A cell that fails
+    to characterize raises :class:`~repro.errors.SweepCellError`.
     """
-    results: list[CharacterizationResult] = []
-    for p in partition_sizes:
-        simulator = SpmvSimulator(base_config.with_partition_size(p))
-        table = simulator.profile_table(matrix)
-        for name in formats:
-            results.append(
-                simulator.run_format(name, table, workload="")
-            )
+    # imported here: repro.engine depends on repro.core at import time
+    from ..engine import run_sweep
+    from ..workloads.registry import Workload
+
+    results = run_sweep(
+        [Workload("", "", matrix)],
+        formats,
+        partition_sizes,
+        base_config,
+        error_policy="fail_fast",
+    ).results
     return recommend_from_results(results, objective, constraints)
 
 

@@ -1,9 +1,9 @@
-"""Hyperparameter sweeps over formats, partition sizes and workloads.
+"""Aggregation helpers over sweep results.
 
 Every figure in the paper is a slice of the same experiment cube
-(workload x format x partition size); this module materializes the
-cube — or any sub-slice — as a flat list of result records that the
-benchmarks and reporting code aggregate.
+(workload x format x partition size).  The cube itself is evaluated by
+:func:`repro.engine.run_sweep`; this module filters and averages the
+flat result list it returns.
 """
 
 from __future__ import annotations
@@ -13,64 +13,13 @@ from typing import Sequence
 import numpy as np
 
 from ..formats.registry import PAPER_FORMATS
-from ..hardware.config import DEFAULT_CONFIG, HardwareConfig
-from ..partition import PARTITION_SIZES
-from ..workloads.registry import Workload
 from .results import CharacterizationResult
-from .simulator import SpmvSimulator
 
 __all__ = [
-    "sweep_formats",
-    "sweep_partition_sizes",
-    "sweep",
     "mean_sigma_by_format",
     "mean_metric",
     "group_results",
 ]
-
-
-def sweep_formats(
-    workload: Workload,
-    format_names: Sequence[str] = PAPER_FORMATS,
-    config: HardwareConfig = DEFAULT_CONFIG,
-) -> list[CharacterizationResult]:
-    """All formats on one workload at one partition size."""
-    simulator = SpmvSimulator(config)
-    results = simulator.characterize_formats(
-        workload.matrix, format_names, workload=workload.name
-    )
-    return [results[name] for name in format_names]
-
-
-def sweep_partition_sizes(
-    workload: Workload,
-    format_names: Sequence[str] = PAPER_FORMATS,
-    partition_sizes: Sequence[int] = PARTITION_SIZES,
-    base_config: HardwareConfig = DEFAULT_CONFIG,
-) -> list[CharacterizationResult]:
-    """All formats x partition sizes on one workload."""
-    results: list[CharacterizationResult] = []
-    for p in partition_sizes:
-        config = base_config.with_partition_size(p)
-        results.extend(sweep_formats(workload, format_names, config))
-    return results
-
-
-def sweep(
-    workloads: Sequence[Workload],
-    format_names: Sequence[str] = PAPER_FORMATS,
-    partition_sizes: Sequence[int] = PARTITION_SIZES,
-    base_config: HardwareConfig = DEFAULT_CONFIG,
-) -> list[CharacterizationResult]:
-    """The full experiment cube over the given workloads."""
-    results: list[CharacterizationResult] = []
-    for workload in workloads:
-        results.extend(
-            sweep_partition_sizes(
-                workload, format_names, partition_sizes, base_config
-            )
-        )
-    return results
 
 
 def group_results(

@@ -49,6 +49,7 @@ and install it with ``role="worker"`` on startup.
 from __future__ import annotations
 
 import errno
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -133,8 +134,10 @@ class ChaosSpec:
             raise SweepConfigError(
                 f"after must be >= 1, got {self.after}"
             )
-        if self.ms < 0:
-            raise SweepConfigError(f"ms must be >= 0, got {self.ms}")
+        if not (math.isfinite(self.ms) and self.ms >= 0):
+            raise SweepConfigError(
+                f"ms must be a finite number >= 0, got {self.ms}"
+            )
         if self.times is not None and self.times < 1:
             raise SweepConfigError(
                 f"times must be >= 1 or 'none', got {self.times}"

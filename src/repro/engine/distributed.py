@@ -110,14 +110,6 @@ def _decode_field(text: str):
     return _decode_blob(base64.b64decode(text))
 
 
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    io_atomic.atomic_write_bytes(path, data)
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    io_atomic.atomic_write_text(path, text)
-
-
 # ----------------------------------------------------------------------
 # Content-addressed matrix shipping
 # ----------------------------------------------------------------------
@@ -210,7 +202,7 @@ class QueueLayout:
             (self.root / name).mkdir(exist_ok=True)
         if self.stop.exists():
             self.stop.unlink()
-        _atomic_write_text(
+        io_atomic.atomic_write_text(
             self.meta,
             json.dumps(
                 {
@@ -269,7 +261,7 @@ class QueueLayout:
         key = matrix_content_key(matrix)
         path = self.blobs / f"{key}.blob"
         if not path.exists():
-            _atomic_write_bytes(path, _encode_blob(matrix))
+            io_atomic.atomic_write_bytes(path, _encode_blob(matrix))
         return key
 
     def task_name(self, attempt: int, shard: int, digest: str) -> str:
@@ -294,7 +286,7 @@ class QueueLayout:
             "chunk": _encode_field((chunk, digests)),
         }
         name = self.task_name(attempt, shard, chunk_digest)
-        _atomic_write_text(
+        io_atomic.atomic_write_text(
             self.tasks / name, json.dumps(record, sort_keys=True)
         )
 
@@ -306,7 +298,7 @@ class QueueLayout:
             os.rename(source, target)
         except OSError:
             return None
-        _atomic_write_text(
+        io_atomic.atomic_write_text(
             self.claimed / (name[: -len(".task")] + ".owner"),
             worker_id,
         )
@@ -339,7 +331,7 @@ class QueueLayout:
             return None
 
     def write_done(self, chunk_digest: str, marker: dict) -> None:
-        _atomic_write_text(
+        io_atomic.atomic_write_text(
             self.done / f"{chunk_digest}.done",
             json.dumps(marker, sort_keys=True),
         )
@@ -407,7 +399,7 @@ def run_worker(
             f"poll_interval_s must be > 0, got {poll_interval_s}"
         )
     home = layout.home_shard(worker_id, n_shards)
-    _atomic_write_text(
+    io_atomic.atomic_write_text(
         layout.workers / f"{worker_id}.json",
         json.dumps(
             {

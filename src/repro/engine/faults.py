@@ -57,6 +57,7 @@ options are ``times``, ``delay``, and for ``corrupt`` the
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -121,9 +122,9 @@ class FaultSpec:
                 f"times must be >= 1 (or None for always), "
                 f"got {self.times}"
             )
-        if self.delay_s < 0:
+        if not (math.isfinite(self.delay_s) and self.delay_s >= 0):
             raise SweepConfigError(
-                f"delay_s must be >= 0, got {self.delay_s}"
+                f"delay_s must be a finite number >= 0, got {self.delay_s}"
             )
 
     # ------------------------------------------------------------------

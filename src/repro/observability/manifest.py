@@ -9,9 +9,11 @@ grids stream instead of buffering:
   matrix triplets for materialized ones), so two runs of the same grid
   are recognizably the same experiment;
 * one ``cell`` record per grid cell: coordinates, the matrix cache
-  key, the cell's wall-clock seconds and its cycle-level results
-  (fields named to match :mod:`repro.core.store` records, so
-  :func:`repro.analysis.compare_records` can diff manifests directly);
+  key, the cell's wall-clock seconds and every derived metric of its
+  :class:`~repro.core.CharacterizationResult` (cycles, bytes, timing,
+  power, energy, clock and FPGA resources), so a manifest is the one
+  saved-results format and :func:`repro.analysis.compare_records`
+  diffs two of them directly;
 * one ``failed_cell`` record per cell that produced no result under
   ``error_policy="collect"``: coordinates, the workload recipe digest,
   the exception type, message, the worker-side formatted traceback and
@@ -50,7 +52,9 @@ __all__ = [
 #: Bump on any backwards-incompatible record change.
 #: 2: cell records gained the framed-transfer accounting
 #: (``framed_total_bytes`` / ``framing_overhead_bytes``).
-SCHEMA_VERSION = 2
+#: 3: cell records gained timing, power, energy, clock, partition
+#: count and resource fields (``total_seconds`` ... ``lut``).
+SCHEMA_VERSION = 3
 
 #: Value of the header's ``kind`` field.
 MANIFEST_KIND = "copernicus-sweep-manifest"
@@ -67,6 +71,12 @@ CELL_METRIC_FIELDS = (
     "framed_total_bytes",
     "framing_overhead_bytes",
     "bandwidth_utilization",
+    "total_seconds",
+    "throughput_bytes_per_s",
+    "dynamic_power_w",
+    "static_power_w",
+    "energy_j",
+    "clock_mhz",
 )
 
 
@@ -189,6 +199,9 @@ def _cell_record(cell, result) -> dict:
         record[name] = (
             value if isinstance(value, int) else float(value)
         )
+    record["n_partitions"] = int(result.pipeline.n_partitions)
+    for name in ("bram_18k", "ff", "lut"):
+        record[name] = int(getattr(result.resources, name))
     return record
 
 

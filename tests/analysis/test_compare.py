@@ -9,19 +9,32 @@ from repro.analysis.compare import (
     compare_records,
     comparison_table,
 )
-from repro.core import result_to_record, sweep_formats
+from repro.engine import SweepRunner
 from repro.errors import SimulationError
+from repro.observability import read_manifest
 from repro.workloads import Workload, random_matrix
 
 
-def records_for(seed: int):
-    load = Workload(
-        "w", "random", random_matrix(64, 0.1, seed=seed), 0.1
-    )
-    return [
-        result_to_record(r)
-        for r in sweep_formats(load, ("dense", "csr", "coo"))
-    ]
+@pytest.fixture(scope="module")
+def manifest_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("compare")
+
+
+@pytest.fixture()
+def records_for(manifest_dir):
+    """Manifest cell records of one seeded three-format sweep."""
+
+    def build(seed: int) -> list[dict]:
+        load = Workload(
+            "w", "random", random_matrix(64, 0.1, seed=seed), 0.1
+        )
+        outcome = SweepRunner(telemetry=True).run_grid(
+            [load], ("dense", "csr", "coo"), partition_sizes=(16,)
+        )
+        path = outcome.write_manifest(manifest_dir / f"seed{seed}.jsonl")
+        return list(read_manifest(path).cells)
+
+    return build
 
 
 class TestMetricDelta:
@@ -38,26 +51,26 @@ class TestMetricDelta:
 
 
 class TestCompareRecords:
-    def test_identical_sets_below_threshold(self):
+    def test_identical_sets_below_threshold(self, records_for):
         records = records_for(0)
         deltas = compare_records(records, records, min_relative=1e-12)
         assert deltas == []
 
-    def test_changed_workload_produces_deltas(self):
+    def test_changed_workload_produces_deltas(self, records_for):
         before = records_for(0)
         after = records_for(1)  # different matrix -> different metrics
         deltas = compare_records(before, after, min_relative=1e-12)
         assert deltas
         assert all(isinstance(d, MetricDelta) for d in deltas)
 
-    def test_sorted_by_magnitude(self):
+    def test_sorted_by_magnitude(self, records_for):
         deltas = compare_records(
             records_for(0), records_for(1), min_relative=0.0
         )
         magnitudes = [abs(d.relative) for d in deltas]
         assert magnitudes == sorted(magnitudes, reverse=True)
 
-    def test_threshold_filters(self):
+    def test_threshold_filters(self, records_for):
         before = records_for(0)
         after = [dict(r) for r in before]
         after[0]["sigma"] = after[0]["sigma"] * 1.5 + 0.1
@@ -65,13 +78,13 @@ class TestCompareRecords:
         assert len(deltas) == 1
         assert deltas[0].metric == "sigma"
 
-    def test_disjoint_sets_rejected(self):
+    def test_disjoint_sets_rejected(self, records_for):
         before = records_for(0)
         moved = [dict(r, workload="other") for r in before]
         with pytest.raises(SimulationError):
             compare_records(before, moved)
 
-    def test_missing_metric_skipped(self):
+    def test_missing_metric_skipped(self, records_for):
         before = records_for(0)
         after = [dict(r) for r in before]
         for record in after:
@@ -81,7 +94,7 @@ class TestCompareRecords:
 
 
 class TestComparisonTable:
-    def test_renders(self):
+    def test_renders(self, records_for):
         deltas = compare_records(
             records_for(0), records_for(1), min_relative=0.0
         )
@@ -89,7 +102,7 @@ class TestComparisonTable:
         assert "metric" in table
         assert "delta" in table
 
-    def test_limit_respected(self):
+    def test_limit_respected(self, records_for):
         deltas = compare_records(
             records_for(0), records_for(1), min_relative=0.0
         )

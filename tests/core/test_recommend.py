@@ -91,3 +91,47 @@ class TestRecommend:
         )
         assert isinstance(result, Recommendation)
         assert result.format_name == "dia"
+
+
+class TestLibraryServeAgreement:
+    """``recommend()`` and serve's ``/advise`` rank the same grid."""
+
+    @pytest.mark.parametrize(
+        "objective, constraints",
+        [
+            ("latency", {}),
+            ("bandwidth", {}),
+            ("energy", {}),
+            ("overhead", {}),
+            ("latency", {"max_bram_18k": 4}),
+        ],
+    )
+    def test_same_pick_as_serve_advise(self, objective, constraints):
+        from repro.serve.backend import SweepBackend
+        from repro.serve.protocol import parse_query
+
+        query = parse_query(
+            "advise",
+            {
+                "workload": {
+                    "kind": "random", "n": 96, "density": 0.05, "seed": 4,
+                },
+                "formats": ["csr", "bcsr", "csc", "lil", "ell", "coo",
+                            "dia"],
+                "partitions": [8, 16, 32],
+                "objective": objective,
+                "constraints": constraints,
+            },
+        )
+        served = SweepBackend().execute(query)["best"]
+        choice = recommend(
+            query.spec.build().matrix,
+            objective=objective,
+            formats=query.formats,
+            partition_sizes=query.partitions,
+            constraints=query.recommend_constraints(),
+        )
+        assert (choice.format_name, choice.partition_size) == (
+            served["format"], served["partition_size"],
+        )
+        assert choice.objective.value(choice.best) == served["value"]

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import SUMMARY_METRICS, summarize, sweep_formats
+from repro.core import SUMMARY_METRICS, summarize
+from repro.engine import run_sweep
 from repro.errors import SimulationError
 from repro.formats import PAPER_FORMATS
-from repro.hardware import HardwareConfig
 from repro.workloads import Workload, random_matrix
 
 
@@ -15,9 +15,7 @@ def results_for(density: float = 0.05):
     load = Workload(
         "w", "random", random_matrix(96, density, seed=0), density
     )
-    return sweep_formats(
-        load, PAPER_FORMATS, HardwareConfig(partition_size=16)
-    )
+    return run_sweep([load], PAPER_FORMATS, (16,)).results
 
 
 class TestSummarize:

@@ -1,4 +1,5 @@
-"""Sweep utility tests."""
+"""Sweep tests: grid order on :func:`run_sweep` and the aggregation
+helpers over its results."""
 
 from __future__ import annotations
 
@@ -6,14 +7,8 @@ import math
 
 import pytest
 
-from repro.core import (
-    group_results,
-    mean_metric,
-    mean_sigma_by_format,
-    sweep,
-    sweep_formats,
-    sweep_partition_sizes,
-)
+from repro.core import group_results, mean_metric, mean_sigma_by_format
+from repro.engine import run_sweep
 from repro.hardware import HardwareConfig
 from repro.workloads import Workload, random_matrix
 
@@ -29,41 +24,42 @@ def workload(name: str = "w", density: float = 0.1, seed: int = 0) -> Workload:
 
 class TestSweeps:
     def test_sweep_formats_order(self):
-        results = sweep_formats(workload(), FORMATS)
+        results = run_sweep([workload()], FORMATS, (16,)).results
         assert [r.format_name for r in results] == list(FORMATS)
 
     def test_sweep_partition_sizes_cube(self):
-        results = sweep_partition_sizes(
-            workload(), FORMATS, partition_sizes=(8, 16)
-        )
+        results = run_sweep(
+            [workload()], FORMATS, partition_sizes=(8, 16)
+        ).results
         assert len(results) == len(FORMATS) * 2
         assert {r.partition_size for r in results} == {8, 16}
 
     def test_full_sweep(self):
-        results = sweep(
+        results = run_sweep(
             [workload("a"), workload("b", seed=1)],
             FORMATS,
             partition_sizes=(8,),
-        )
+        ).results
         assert len(results) == 2 * len(FORMATS)
         assert {r.workload for r in results} == {"a", "b"}
 
     def test_sweep_respects_base_config(self):
         config = HardwareConfig(partition_size=16, clock_mhz=100.0)
-        results = sweep_partition_sizes(
-            workload(), ("dense",), partition_sizes=(8,), base_config=config
-        )
+        results = run_sweep(
+            [workload()], ("dense",), partition_sizes=(8,),
+            base_config=config,
+        ).results
         assert results[0].clock_mhz == 100.0
         assert results[0].partition_size == 8
 
 
 class TestAggregation:
     def make_results(self):
-        return sweep(
+        return run_sweep(
             [workload("a"), workload("b", seed=1)],
             FORMATS,
             partition_sizes=(8, 16),
-        )
+        ).results
 
     def test_group_by_format(self):
         results = self.make_results()

@@ -110,6 +110,11 @@ class TestGrammar:
         with pytest.raises(SweepConfigError):
             ChaosPlan.parse(text)
 
+    @pytest.mark.parametrize("ms", [float("nan"), float("inf")])
+    def test_non_finite_ms_refused_when_built_directly(self, ms):
+        with pytest.raises(SweepConfigError):
+            ChaosSpec("slow-io", "blobs", ms=ms)
+
     def test_sigterm_never_hook_fires(self):
         spec = ChaosSpec("sigterm", "serve")
         for op in CHAOS_OPS:

@@ -65,6 +65,10 @@ class TestFaultSpec:
             FaultSpec("raise", times=0)
         with pytest.raises(SweepConfigError):
             FaultSpec("delay", delay_s=-1.0)
+        # built directly, not parsed: the spec itself refuses them
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(SweepConfigError):
+                FaultSpec("delay", delay_s=value)
 
     def test_known_kinds(self):
         assert FAULT_KINDS == ("raise", "crash", "delay", "corrupt")

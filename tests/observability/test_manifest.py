@@ -41,7 +41,9 @@ GOLDEN_CELL_FIELDS = {
     "cache_key", "wall_s", "total_cycles", "memory_cycles",
     "compute_cycles", "decompress_cycles", "sigma", "balance_ratio",
     "total_bytes", "framed_total_bytes", "framing_overhead_bytes",
-    "bandwidth_utilization",
+    "bandwidth_utilization", "total_seconds", "throughput_bytes_per_s",
+    "dynamic_power_w", "static_power_w", "energy_j", "clock_mhz",
+    "n_partitions", "bram_18k", "ff", "lut",
 }
 GOLDEN_SUMMARY_FIELDS = {"type", "cells", "wall_s", "cache", "metrics"}
 GOLDEN_FAILED_CELL_FIELDS = {
@@ -77,7 +79,7 @@ class TestGoldenSchema:
         header = json.loads(manifest_path.read_text().splitlines()[0])
         assert set(header) == GOLDEN_HEADER_FIELDS
         assert header["kind"] == MANIFEST_KIND
-        assert header["schema"] == SCHEMA_VERSION == 2
+        assert header["schema"] == SCHEMA_VERSION == 3
         assert header["n_cells"] == 8
         assert header["formats"] == ["csr", "coo"]
         assert header["partition_sizes"] == [8, 16]
@@ -110,6 +112,10 @@ class TestGoldenSchema:
                 result.total_bytes + result.framing_overhead_bytes
             )
             assert record["wall_s"] >= 0.0
+            assert record["energy_j"] == result.energy_j
+            assert record["clock_mhz"] == result.clock_mhz
+            assert record["n_partitions"] == result.pipeline.n_partitions
+            assert record["bram_18k"] == result.resources.bram_18k
             assert len(record["cache_key"]) == 32  # blake2b-128 hex
 
     def test_summary_fields(self, manifest_path, outcome):

@@ -14,6 +14,18 @@ def run_cli(capsys, *argv: str) -> str:
     return capsys.readouterr().out
 
 
+def _results_manifest(path, seed: int):
+    """Save one seeded two-format sweep as a run manifest."""
+    from repro.engine import SweepRunner
+    from repro.workloads import Workload, random_matrix
+
+    load = Workload("w", "random", random_matrix(64, 0.1, seed=seed), 0.1)
+    outcome = SweepRunner(telemetry=True).run_grid(
+        [load], ("dense", "coo"), partition_sizes=(16,)
+    )
+    return outcome.write_manifest(path)
+
+
 class TestInformational:
     def test_formats(self, capsys):
         out = run_cli(capsys, "formats")
@@ -108,35 +120,18 @@ class TestSweepAndAdvise:
         assert "total_cycles" in out
 
     def test_compare(self, capsys, tmp_path):
-        from repro.core import save_results, sweep_formats
-        from repro.workloads import Workload, random_matrix
-
-        def results(seed):
-            load = Workload(
-                "w", "random", random_matrix(64, 0.1, seed=seed), 0.1
-            )
-            return sweep_formats(load, ("dense", "coo"))
-
-        before = tmp_path / "before.json"
-        after = tmp_path / "after.json"
-        save_results(results(0), before)
-        save_results(results(1), after)
+        before = _results_manifest(tmp_path / "before.jsonl", seed=0)
+        after = _results_manifest(tmp_path / "after.jsonl", seed=1)
         out = run_cli(
-            capsys, "compare", str(before), str(after),
+            capsys, "stats", str(after), "--against", str(before),
             "--threshold", "0.0001",
         )
         assert "metric" in out
+        assert "total_cycles" in out
 
     def test_compare_no_changes(self, capsys, tmp_path):
-        from repro.core import save_results, sweep_formats
-        from repro.workloads import Workload, random_matrix
-
-        load = Workload(
-            "w", "random", random_matrix(64, 0.1, seed=0), 0.1
-        )
-        path = tmp_path / "same.json"
-        save_results(sweep_formats(load, ("dense",)), path)
-        out = run_cli(capsys, "compare", str(path), str(path))
+        path = _results_manifest(tmp_path / "same.jsonl", seed=0)
+        out = run_cli(capsys, "stats", str(path), "--against", str(path))
         assert "no metric changes" in out
 
     def test_unknown_standin_exits_cleanly(self, capsys):

@@ -12,17 +12,12 @@ from repro.apps import (
     conjugate_gradient,
     pagerank,
 )
-from repro.core import (
-    load_records,
-    recommend,
-    records_by,
-    save_results,
-    summarize,
-    sweep_formats,
-)
+from repro.core import recommend, summarize
+from repro.engine import SweepRunner
 from repro.formats import PAPER_FORMATS, get_format
 from repro.hardware import build_listing, schedule_cycles, trace_pipeline
 from repro.io import read_matrix_market, write_matrix_market
+from repro.observability import read_manifest
 from repro.partition import partition_matrix, profile_partitions
 from repro.workloads import (
     Workload,
@@ -54,11 +49,12 @@ class TestFileToRecommendation:
         load = Workload(
             "int", "random", random_matrix(96, 0.05, seed=1), 0.05
         )
-        results = sweep_formats(load, PAPER_FORMATS)
-        path = tmp_path / "results.json"
-        save_results(results, path)
-        records = load_records(path)
-        dense = records_by(records, format_name="dense")[0]
+        outcome = SweepRunner(telemetry=True).run_grid(
+            [load], PAPER_FORMATS, partition_sizes=(16,)
+        )
+        path = outcome.write_manifest(tmp_path / "results.jsonl")
+        records = read_manifest(path).cells
+        dense = [r for r in records if r["format"] == "dense"][0]
         assert dense["sigma"] == 1.0
         # the reloaded records support the same aggregation as live ones
         sigmas = {r["format"]: r["sigma"] for r in records}
